@@ -239,6 +239,86 @@ def _check_dim(fn, n: int) -> None:
         raise DimensionMismatchError(f"function uses x{top} but n={n}")
 
 
+# The closed form takes |terms(r)|·|terms(f)| steps.  Past 2^n steps, or
+# past this many, exact_perf enumerates the cube instead; the cap keeps the
+# term dictionaries small where the cube is too large to enumerate.
+IE_MAX_STEPS = 1 << 20
+
+
+def _ie_terms(fn, budget: int) -> dict[int, int] | None:
+    """Inclusion-exclusion form of a conjunction or monotone DNF.
+
+    Returns {mask: k} with [fn(x)] = sum of k * [x covers mask], merging
+    equal masks, so |fn| = sum of k * 2^(n - |mask|).  None when fn is of
+    another type or needs more than `budget` terms.
+    """
+    if isinstance(fn, MonotoneConjunction):
+        return {fn.mask: 1}
+    if not isinstance(fn, MonotoneDnf):
+        return None
+    terms: dict[int, int] = {}
+    for c in fn.clauses:
+        # [A or c] = [A] + [c] - [A and c]
+        m = c.mask
+        grown = dict(terms)
+        grown[m] = grown.get(m, 0) + 1
+        for t, k in terms.items():
+            u = t | m
+            grown[u] = grown.get(u, 0) - k
+        terms = {t: k for t, k in grown.items() if k}
+        if len(terms) > budget:
+            return None
+    return terms
+
+
+def _size(terms: dict[int, int], n: int) -> int:
+    return sum(k << (n - m.bit_count()) for m, k in terms.items())
+
+
+def _both_parity(terms: dict[int, int], parity: int, n: int) -> int:
+    """Points where the terms' function holds and the parity is even.
+
+    Above a term m that misses a parity variable, half the points are
+    even; above one that covers them all, the parity is constant.
+    """
+    even_when_covered = parity.bit_count() % 2 == 0
+    total = 0
+    for m, k in terms.items():
+        if parity & ~m:
+            total += k << (n - m.bit_count() - 1)
+        elif even_when_covered:
+            total += k << (n - m.bit_count())
+    return total
+
+
+def _closed_counts(r, f, n: int) -> tuple[int, int, int] | None:
+    """(|r|, |f|, |r and f|) over the 2^n points without enumerating.
+
+    None for a pair the closed form does not cover cheaply: a function of
+    another type, or DNFs whose expansions are too large.
+    """
+    budget = min(1 << n, IE_MAX_STEPS)
+    if isinstance(r, ParityFunction) and isinstance(f, ParityFunction):
+        half = 1 << (n - 1)
+        return half, half, half if r.mask == f.mask else half >> 1
+    if isinstance(r, ParityFunction):
+        swapped = _closed_counts(f, r, n)
+        return None if swapped is None else (swapped[1], swapped[0], swapped[2])
+    tr = _ie_terms(r, budget)
+    if tr is None:
+        return None
+    if isinstance(f, ParityFunction):
+        return _size(tr, n), 1 << (n - 1), _both_parity(tr, f.mask, n)
+    tf = _ie_terms(f, budget)
+    if tf is None or len(tr) * len(tf) > budget:
+        return None
+    both = 0
+    for mr, kr in tr.items():
+        for mf, kf in tf.items():
+            both += kr * kf << (n - (mr | mf).bit_count())
+    return _size(tr, n), _size(tf, n), both
+
+
 def exact_perf(r, f, n: int,
                convention: OutputConvention = OutputConvention.SIGNED) -> Fraction:
     """Exact expected output product of r and f on uniform {0,1}^n.
@@ -249,18 +329,24 @@ def exact_perf(r, f, n: int,
         SIGNED:  (4*c_both - 2*c_r - 2*c_f + 2^n) / 2^n
         BINARY:  c_both / 2^n
 
-    Raises EnumerationBudgetError above n=24 and DimensionMismatchError if
-    either function mentions a variable beyond n.
+    Conjunctions, monotone DNFs and parities get the counts in closed
+    form, by inclusion-exclusion over clause unions, at any n.  Other
+    function types, and DNF pairs whose expansions outgrow the cube, are
+    enumerated: those raise EnumerationBudgetError above n=24.  Raises
+    DimensionMismatchError if either function mentions a variable
+    beyond n.
     """
     if n < 1:
         raise DimensionMismatchError(f"dimension must be positive, got {n}")
     _check_dim(r, n)
     _check_dim(f, n)
-    tr = truth_table(r, n)
-    tf = truth_table(f, n)
-    c_r = int(np.count_nonzero(tr))
-    c_f = int(np.count_nonzero(tf))
-    c_both = int(np.count_nonzero(tr & tf))
+    counts = _closed_counts(r, f, n)
+    if counts is None:
+        tr = truth_table(r, n)
+        tf = truth_table(f, n)
+        counts = (int(np.count_nonzero(tr)), int(np.count_nonzero(tf)),
+                  int(np.count_nonzero(tr & tf)))
+    c_r, c_f, c_both = counts
     total = 1 << n
     if convention is OutputConvention.SIGNED:
         return Fraction(4 * c_both - 2 * c_r - 2 * c_f + total, total)

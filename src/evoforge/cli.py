@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="signed")
     mode = p_perf.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true",
-                      help="exact enumeration (default)")
+                      help="exact rational value (default)")
     mode.add_argument("--samples", type=int, help="Monte-Carlo sample count")
     p_perf.add_argument("--seed", type=int, help="sampling seed (default 0)")
     p_perf.set_defaults(func=cmd_perf)

@@ -14,14 +14,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Literal
 
-from .boolfn import (Assignment, MonotoneConjunction, OutputConvention,
-                     conj_perf_closed_form, exact_perf)
-from .errors import ContractError, ParameterError
+from .boolfn import Assignment, OutputConvention, exact_perf
+from .errors import ContractError, EnumerationBudgetError, ParameterError
 from .perf import SampleSpec, empirical_perf
 from .rng import MASK64, derive_seed, weighted_choice
-
-# Exact-performance diagnostics are recorded when enumeration is this cheap.
-EXACT_RECORD_MAX_N = 16
 
 # Stream tags that can never collide with a neighborhood index.
 _SELF_TAG = 1 << 40
@@ -147,8 +143,8 @@ class CorrelationFitness:
 
     estimate() is the sampled Monte-Carlo value unless exact_mode is set,
     in which case the exact expectation is used (diagnostic runs).
-    exact_value() is the exact score when the dimension permits, None
-    otherwise; conjunction pairs short-circuit through the closed form.
+    exact_value() is the exact score, or None for a pair that exact_perf
+    could only enumerate and whose cube is too large for that.
     """
 
     def __init__(self, target,
@@ -168,12 +164,10 @@ class CorrelationFitness:
                               self.convention)
 
     def exact_value(self, fn, n: int) -> float | None:
-        if (isinstance(fn, MonotoneConjunction)
-                and isinstance(self.target, MonotoneConjunction)):
-            return float(conj_perf_closed_form(fn, self.target, self.convention))
-        if n <= EXACT_RECORD_MAX_N:
+        try:
             return float(exact_perf(fn, self.target, n, self.convention))
-        return None
+        except EnumerationBudgetError:
+            return None
 
 
 def classify_neighborhood(current_perf: float, neighbor_perfs: list[float],

@@ -94,7 +94,7 @@ def _worker_count() -> int:
         workers = int(raw)
     except ValueError:
         raise ConfigError(f"EVOFORGE_THREADS must be an integer, got {raw!r}")
-    return max(1, workers)
+    return max(1, min(workers, os.cpu_count() or 1))
 
 
 def _map_trials(fn, count: int) -> list:
@@ -146,7 +146,7 @@ def _gen_quantiles(gens: list) -> dict:
 
 
 def run_counterexample() -> ExperimentReport:
-    """High correlation with zero shared structure, by exact enumeration.
+    """High correlation with zero shared structure, in exact arithmetic.
 
     The hypothesis x1|x2|x3 agrees with the planted three-clause target
     on 81/256 of the cube under 0/1 outputs, exactly the target's

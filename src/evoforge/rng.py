@@ -7,6 +7,7 @@ so any evaluation can be reproduced in isolation: sample i of stream
 """
 from __future__ import annotations
 
+import math
 import threading
 from collections.abc import Iterator
 
@@ -44,7 +45,9 @@ def derive_seed(seed: int, *parts: int) -> int:
 
 def uniform_unit(seed: int) -> float:
     """One float in [0, 1) determined entirely by `seed`."""
-    return mix64(seed ^ 0x2545F4914F6CDD1D) / 2.0 ** 64
+    u = mix64(seed ^ 0x2545F4914F6CDD1D) / 2.0 ** 64
+    # the top 2^10 outputs round up to 1.0
+    return u if u < 1.0 else math.nextafter(1.0, 0.0)
 
 
 def sample_assignments(seed: int, count: int, n: int) -> np.ndarray:

@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+from brute import brute_perf
 from evoforge.boolfn import (MonotoneConjunction, MonotoneDnf,
                              OutputConvention, conj_perf_closed_form,
                              exact_perf)
@@ -62,7 +63,7 @@ def test_criterion_2_closed_form_matches_enumeration():
         b = conj(*rng.sample(range(1, n + 1), rng.randint(0, 4)))
         for conv in OutputConvention:
             closed = conj_perf_closed_form(a, b, conv)
-            brute = exact_perf(a, b, n, conv)
+            brute = brute_perf(a, b, n, conv)
             assert closed == brute
             worst = max(worst, abs(float(closed) - float(brute)))
     worked = [

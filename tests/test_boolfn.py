@@ -3,9 +3,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute import OpaqueFunction, brute_perf
+from evoforge import boolfn
 from evoforge.boolfn import (Assignment, MonotoneConjunction, MonotoneDnf,
                              OutputConvention, ParityFunction,
                              conj_perf_closed_form, eval_conjunction,
@@ -27,6 +29,28 @@ def dnf(*clauses):
 
 # small-function strategies used across this file
 conj_sets = st.sets(st.integers(1, 8), max_size=4).map(frozenset)
+
+
+@st.composite
+def cube_functions(draw, n):
+    """A conjunction (empty included), a 1-4 clause DNF or a parity on x1..xn.
+
+    DNF clauses may repeat or extend an earlier clause, so that duplicate
+    and nested clauses turn up.
+    """
+    lits = st.sets(st.integers(1, n), max_size=4)
+    kind = draw(st.sampled_from(("conj", "dnf", "parity")))
+    if kind == "conj":
+        return MonotoneConjunction(draw(lits))
+    if kind == "parity":
+        return ParityFunction(draw(st.sets(st.integers(1, n), min_size=1,
+                                           max_size=4)))
+    clauses = []
+    for _ in range(draw(st.integers(1, 4))):
+        base = (draw(st.sampled_from(clauses))
+                if clauses and draw(st.booleans()) else frozenset())
+        clauses.append(base | draw(lits))
+    return MonotoneDnf(MonotoneConjunction(c) for c in clauses)
 
 
 class TestAssignment:
@@ -153,12 +177,41 @@ class TestExactPerf:
         assert exact_perf(r, f, 8, SIGNED) == Fraction(-30, 256)
         assert exact_perf(r, f, 8, BINARY) == Fraction(81, 256)
         assert exact_perf(f, f, 8, BINARY) == Fraction(81, 256)
+        assert exact_perf(r, f, 40, SIGNED) == Fraction(-30, 256)
 
     def test_symmetry_and_budget(self):
+        # closed forms have no enumeration budget; other types still do
         r, f = conj(1, 2), conj(2, 3)
         assert exact_perf(r, f, 5, SIGNED) == exact_perf(f, r, 5, SIGNED)
+        assert exact_perf(r, f, 25, SIGNED) == exact_perf(r, f, 5, SIGNED)
+        with pytest.raises(EnumerationBudgetError):
+            exact_perf(r, OpaqueFunction(f), 25, SIGNED)
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_matches_brute_force(self, data):
+        n = data.draw(st.integers(1, 12))
+        r = data.draw(cube_functions(n))
+        f = data.draw(cube_functions(n))
+        for conv in (SIGNED, BINARY):
+            assert exact_perf(r, f, n, conv) == brute_perf(r, f, n, conv)
+            assert exact_perf(f, r, n, conv) == brute_perf(f, r, n, conv)
+
+    def test_large_expansions_enumerate(self, monkeypatch):
+        # past the step cap, DNF pairs fall back to enumeration
+        monkeypatch.setattr(boolfn, "IE_MAX_STEPS", 4)
+        r = dnf((1,), (2,), (3,))
+        f = dnf((1, 4, 5), (2, 4, 6), (3, 7, 8))
+        assert exact_perf(r, f, 8, SIGNED) == brute_perf(r, f, 8, SIGNED)
+        assert exact_perf(r, ParityFunction({1, 2}), 8, SIGNED) \
+            == brute_perf(r, ParityFunction({1, 2}), 8, SIGNED)
         with pytest.raises(EnumerationBudgetError):
             exact_perf(r, f, 25, SIGNED)
+
+    def test_other_types_enumerate(self):
+        r, f = dnf((1, 2), (3,)), ParityFunction({2, 3})
+        assert exact_perf(OpaqueFunction(r), f, 6, SIGNED) \
+            == exact_perf(r, f, 6, SIGNED)
 
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
@@ -205,7 +258,7 @@ class TestClosedForm:
     def test_matches_enumeration(self, a, b):
         ca, cb = MonotoneConjunction(a), MonotoneConjunction(b)
         for conv in (SIGNED, BINARY):
-            assert conj_perf_closed_form(ca, cb, conv) == exact_perf(ca, cb, 12, conv)
+            assert conj_perf_closed_form(ca, cb, conv) == brute_perf(ca, cb, 12, conv)
 
     def test_ambient_n_free(self):
         a, b = conj(1, 2), conj(2, 5)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from brute import OpaqueFunction
 from evoforge.boolfn import (MonotoneConjunction, MonotoneDnf,
                              ParityFunction)
 from evoforge.cli import (_fmt, experiment_kwargs, main, report_json_text,
@@ -200,11 +201,12 @@ class TestOutputText:
         assert lines[2] == "0,1,x1&x2,-0.5,-0.5,0,3,beneficial"
 
     def test_exact_column_empty_above_enumeration_limit(self):
-        # conjunction vs parity has no closed form, and n = 17 is past the
-        # exact-diagnostic cutoff, so the trace carries no exact column
-        params = EvolutionParams(n=17, epsilon=0.5, t=0.1, s=100, g=2, seed=0)
-        trace = evolve_conjunction_vs(ParityFunction(frozenset({1, 2, 3})),
-                                      params)
+        # a target type with no closed form can only be enumerated, and
+        # n = 25 is past the enumeration limit, so the trace carries no
+        # exact column
+        params = EvolutionParams(n=25, epsilon=0.5, t=0.1, s=100, g=2, seed=0)
+        trace = evolve_conjunction_vs(
+            OpaqueFunction(ParityFunction(frozenset({1, 2, 3}))), params)
         assert trace.records
         assert all(rec.exact_perf is None for rec in trace.records)
         report = ExperimentReport(
@@ -320,6 +322,16 @@ class TestCmdRun:
         assert "golden check failures: boom" in captured.err
         assert (tmp_path / "o" / "report.json").exists()
 
+    def test_parity_above_enumeration_limit(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "experiment = parity\nn = 30\n"
+                        "parity_size = 4\nepsilon = 0.5\ns = 1000\ng = 3\n"
+                        "trials = 1\nseed = 0\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "trace.csv").read_text().splitlines()[1:]
+        assert rows
+        assert all(row.split(",")[4] != "" for row in rows)
+
     def test_out_dir_precedence(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = write_cfg(tmp_path, CE_CONFIG + f"out = {tmp_path / 'cfgout'}\n")
@@ -340,6 +352,11 @@ class TestCmdPerf:
         assert main(["perf"] + self.CE + ["--conv", "binary"]) == 0
         out = capsys.readouterr().out
         assert "exact perf (binary, n=8) = 0.31640625 [81/256]" in out
+
+    def test_exact_at_any_n(self, capsys):
+        assert main(["perf"] + self.CE[:-1] + ["40"]) == 0
+        out = capsys.readouterr().out
+        assert "exact perf (signed, n=40) = -0.1171875 [-15/128]" in out
 
     def test_sampled(self, capsys):
         assert main(["perf"] + self.CE + ["--samples", "1000",

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from brute import OpaqueFunction
 from evoforge.boolfn import MonotoneConjunction
 from evoforge.engine import (CorrelationFitness, EvalCounters,
                              EvolutionParams, RepresentationClass,
@@ -357,11 +358,15 @@ class TestCorrelationFitness:
         assert fit.exact_value(conj(1, 2), 6) == 0.75
 
     def test_exact_value_large_n_is_none(self):
+        # None only where exact_perf would have to enumerate a large cube
         from evoforge.boolfn import MonotoneDnf
         f = MonotoneDnf((conj(1, 2),))
         fit = CorrelationFitness(f)
-        assert fit.exact_value(f, 40) is None
+        assert fit.exact_value(f, 40) == 1.0
         assert fit.exact_value(f, 10) == 1.0
+        opaque = CorrelationFitness(OpaqueFunction(f))
+        assert opaque.exact_value(conj(1, 2), 10) == 1.0
+        assert opaque.exact_value(conj(1, 2), 40) is None
 
     def test_estimate_counts_samples(self):
         fit = CorrelationFitness(conj(1))

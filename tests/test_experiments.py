@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -262,6 +263,10 @@ class TestWorkerPool:
     def test_worker_count_clamps(self, monkeypatch):
         monkeypatch.setenv("EVOFORGE_THREADS", "0")
         assert _worker_count() == 1
+
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setenv("EVOFORGE_THREADS", "4096")
+        assert _worker_count() == (os.cpu_count() or 1)
 
     def test_worker_count_rejects_garbage(self, monkeypatch):
         monkeypatch.setenv("EVOFORGE_THREADS", "two")

@@ -1,0 +1,31 @@
+"""The committed results/ as a byte-for-byte regression fixture.
+
+Regenerates, through the CLI, the runs whose outputs come from exact_perf
+(the report of `counterexample`, the exact columns and flat-landscape
+table of `parity`, the global correlations of `structural_vs_functional`)
+and compares every output file with its committed copy.  results/ holds
+the `scripts/run_all.py --quick` outputs: seed 0, 5 trials.
+"""
+from pathlib import Path
+
+import pytest
+
+from evoforge.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+RUNS = [
+    ("counterexample", []),
+    ("parity", ["--trials", "5"]),
+    ("structural_vs_functional", ["--trials", "5"]),
+]
+
+
+@pytest.mark.parametrize("name, extra", RUNS)
+def test_run_reproduces_committed_results(tmp_path, capsys, name, extra):
+    out = tmp_path / name
+    cfg = ROOT / "configs" / f"{name}.cfg"
+    assert main(["run", "--config", str(cfg), "--out", str(out)] + extra) == 0
+    for fname in ("report.json", "trace.csv", "summary.txt"):
+        committed = ROOT / "results" / name / fname
+        assert (out / fname).read_bytes() == committed.read_bytes(), fname

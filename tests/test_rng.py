@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -29,6 +31,12 @@ def test_derive_seed_splits_streams(seed, a, b):
 def test_uniform_unit_in_range(seed):
     u = uniform_unit(seed)
     assert 0.0 <= u < 1.0
+
+
+def test_uniform_unit_below_one_at_the_top(monkeypatch):
+    # MASK64 / 2^64 rounds to 1.0 in double precision
+    monkeypatch.setattr(rng, "mix64", lambda z: MASK64)
+    assert uniform_unit(0) == math.nextafter(1.0, 0.0)
 
 
 def test_uniform_unit_spread():
