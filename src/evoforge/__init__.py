@@ -7,13 +7,12 @@ conjunction and clause-wise DNF representation classes, exact and
 sampled performance measures with clause-vs-clause matrices, and seeded
 experiment drivers with golden-value self-checks.
 """
-from .boolfn import (Assignment, MonotoneConjunction, MonotoneDnf,
-                     OutputConvention, ParityFunction, conj_perf_closed_form,
-                     eval_conjunction, eval_dnf, eval_parity, exact_perf,
+from .boolfn import (MonotoneConjunction, MonotoneDnf, OutputConvention,
+                     ParityFunction, conj_perf_closed_form, exact_perf,
                      truth_table)
 from .engine import (CorrelationFitness, EvalCounters, EvolutionParams,
                      EvolutionTrace, GenerationRecord, RepresentationClass,
-                     classify_neighborhood, default_params, evolve, step)
+                     classify_neighborhood, default_params, evolve)
 from .errors import (ConfigError, ContractError, DimensionMismatchError,
                      EnumerationBudgetError, EvoforgeError, KMismatchError,
                      ParameterError)
@@ -32,20 +31,19 @@ from .representations import (BestClauseFitness, ConjunctionClass,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Aggregator", "Assignment", "BestClauseFitness", "ConfigError",
-    "ConjunctionClass", "ConjunctionRep", "ContractError",
-    "CorrelationFitness", "DimensionMismatchError", "DnfEvolutionPlan",
-    "EnumerationBudgetError", "EvalCounters", "EvolutionParams",
-    "EvolutionTrace", "EvoforgeError", "ExperimentReport", "GenerationRecord",
-    "GoldenCheck", "KMismatchError", "KdnfResult", "MonotoneConjunction",
-    "MonotoneDnf", "OutputConvention", "ParameterError", "ParityFunction",
-    "PerfMatrix", "REGISTRY", "RepresentationClass", "SampleSpec",
-    "classify_neighborhood", "conj_mutation_weights", "conj_neighborhood",
-    "conj_perf_closed_form", "default_neigh_cap", "default_params",
-    "empirical_perf", "eval_conjunction", "eval_dnf", "eval_parity", "evolve",
+    "Aggregator", "BestClauseFitness", "ConfigError", "ConjunctionClass",
+    "ConjunctionRep", "ContractError", "CorrelationFitness",
+    "DimensionMismatchError", "DnfEvolutionPlan", "EnumerationBudgetError",
+    "EvalCounters", "EvolutionParams", "EvolutionTrace", "EvoforgeError",
+    "ExperimentReport", "GenerationRecord", "GoldenCheck", "KMismatchError",
+    "KdnfResult", "MonotoneConjunction", "MonotoneDnf", "OutputConvention",
+    "ParameterError", "ParityFunction", "PerfMatrix", "REGISTRY",
+    "RepresentationClass", "SampleSpec", "classify_neighborhood",
+    "conj_mutation_weights", "conj_neighborhood", "conj_perf_closed_form",
+    "default_neigh_cap", "default_params", "empirical_perf", "evolve",
     "evolve_conjunction", "evolve_kdnf", "exact_perf", "gen_perf",
     "global_success", "matched_min", "run_conjunction_evolvability",
     "run_counterexample", "run_experiment", "run_parity",
     "run_redundancy_bias", "run_structural_vs_functional", "short_clause_cap",
-    "step", "term_perf_matrix", "term_seed", "truth_table",
+    "term_perf_matrix", "term_seed", "truth_table",
 ]

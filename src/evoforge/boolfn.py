@@ -2,8 +2,10 @@
 
 Functions are monotone conjunctions (AND of unnegated variables,
 identified with their variable sets), monotone DNFs (OR of such
-conjunctions), and parities.  Variables are 1-based; a point of {0,1}^n
-is bit-packed with bit i-1 holding the value of x_i.  Correlations are
+conjunctions), and parities; any object with a vectorized `truth_batch`
+over packed points and a `max_literal` can stand in for one.  Variables
+are 1-based; a point of {0,1}^n is bit-packed with bit i-1 holding the
+value of x_i.  Correlations are
 expectations of output products under the uniform distribution, computed
 exactly as rationals with denominator 2^n.
 """
@@ -29,37 +31,6 @@ class OutputConvention(Enum):
 
     SIGNED = "signed"
     BINARY = "binary"
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """One point of {0,1}^n. Bit i-1 of `bits` is the value of x_i."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"dimension must be positive, got {self.n}")
-        if not 0 <= self.bits < (1 << self.n):
-            raise ParameterError(f"bits {self.bits:#x} outside {{0,1}}^{self.n}")
-
-    def value(self, var: int) -> int:
-        """Value of x_var (1-based)."""
-        if not 1 <= var <= self.n:
-            raise DimensionMismatchError(f"x{var} outside dimension {self.n}")
-        return (self.bits >> (var - 1)) & 1
-
-    @classmethod
-    def from_string(cls, text: str) -> "Assignment":
-        """Parse "110" as x1=1, x2=1, x3=0 (leftmost character is x1)."""
-        if not text or any(ch not in "01" for ch in text):
-            raise ParameterError(f"not a 0/1 string: {text!r}")
-        bits = sum(1 << i for i, ch in enumerate(text) if ch == "1")
-        return cls(n=len(text), bits=bits)
-
-    def __str__(self) -> str:
-        return "".join(str((self.bits >> i) & 1) for i in range(self.n))
 
 
 def _check_literals(literals: Iterable[int]) -> frozenset[int]:
@@ -90,12 +61,6 @@ class MonotoneConjunction:
     @cached_property
     def mask(self) -> int:
         return sum(1 << (v - 1) for v in self.literals)
-
-    def truth(self, x: Assignment) -> bool:
-        if self.max_literal > x.n:
-            raise DimensionMismatchError(
-                f"conjunction uses x{self.max_literal} but point has n={x.n}")
-        return (x.bits & self.mask) == self.mask
 
     def truth_batch(self, xs: np.ndarray) -> np.ndarray:
         """Truth values over an array of packed points."""
@@ -134,9 +99,6 @@ class MonotoneDnf:
     def max_literal(self) -> int:
         return max(c.max_literal for c in self.clauses)
 
-    def truth(self, x: Assignment) -> bool:
-        return any(c.truth(x) for c in self.clauses)
-
     def truth_batch(self, xs: np.ndarray) -> np.ndarray:
         out = self.clauses[0].truth_batch(xs)
         for c in self.clauses[1:]:
@@ -174,14 +136,8 @@ class ParityFunction:
     def mask(self) -> int:
         return sum(1 << (v - 1) for v in self.literals)
 
-    def truth(self, x: Assignment) -> bool:
-        """True on even overlap, matching output +1."""
-        if self.max_literal > x.n:
-            raise DimensionMismatchError(
-                f"parity uses x{self.max_literal} but point has n={x.n}")
-        return bin(x.bits & self.mask).count("1") % 2 == 0
-
     def truth_batch(self, xs: np.ndarray) -> np.ndarray:
+        """True on even overlap, matching output +1."""
         m = xs.dtype.type(self.mask)
         return np.bitwise_count(xs & m) % 2 == 0
 
@@ -192,49 +148,18 @@ class ParityFunction:
         return self.canonical()
 
 
-def _to_output(true_value: bool, convention: OutputConvention) -> int:
-    if convention is OutputConvention.SIGNED:
-        return 1 if true_value else -1
-    return 1 if true_value else 0
-
-
-def eval_conjunction(c: MonotoneConjunction, x: Assignment,
-                     convention: OutputConvention = OutputConvention.SIGNED) -> int:
-    """Evaluate one conjunction at one point under the given convention."""
-    return _to_output(c.truth(x), convention)
-
-
-def eval_dnf(d: MonotoneDnf, x: Assignment,
-             convention: OutputConvention = OutputConvention.SIGNED) -> int:
-    """Evaluate a DNF at one point: OR of its clauses."""
-    return _to_output(d.truth(x), convention)
-
-
-def eval_parity(p: ParityFunction, x: Assignment) -> int:
-    """Evaluate a parity at one point; the range is always {+1,-1}."""
-    return 1 if p.truth(x) else -1
-
-
 def truth_table(fn, n: int) -> np.ndarray:
-    """Boolean truth array of `fn` over all 2^n points, index = packed bits.
-
-    Accepts anything with a vectorized `truth_batch`, falling back to a
-    per-point `truth` loop for plain objects.
-    """
+    """Boolean truth array of `fn` over all 2^n points, index = packed bits."""
     if n > ENUM_MAX_N:
         raise EnumerationBudgetError(
             f"n={n} exceeds the enumeration limit {ENUM_MAX_N}; "
             "use empirical estimation instead")
     xs = np.arange(1 << n, dtype=np.uint32)
-    if hasattr(fn, "truth_batch"):
-        return np.asarray(fn.truth_batch(xs), dtype=bool)
-    return np.fromiter(
-        (bool(fn.truth(Assignment(n, int(b)))) for b in xs), dtype=bool,
-        count=1 << n)
+    return np.asarray(fn.truth_batch(xs), dtype=bool)
 
 
 def _check_dim(fn, n: int) -> None:
-    top = getattr(fn, "max_literal", 0)
+    top = fn.max_literal
     if top > n:
         raise DimensionMismatchError(f"function uses x{top} but n={n}")
 

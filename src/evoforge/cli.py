@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import sys
 from pathlib import Path
 
 from .boolfn import OutputConvention, exact_perf
-from .config import RunConfig, parse_config
+from .config import KNOWN_KEYS, RunConfig, parse_config
 from .errors import (ConfigError, DimensionMismatchError,
                      EnumerationBudgetError, KMismatchError, ParameterError)
 from .experiments import REGISTRY, ExperimentReport
@@ -22,22 +23,9 @@ from .funcspec import parse_function
 from .perf import SampleSpec, empirical_perf
 from .rng import MASK64
 
-# Keys each experiment accepts from a config, and the defaults applied
-# when a key is absent.  'k' is validated against the target at parse
-# time and consumed there.
-_EXPERIMENT_KEYS = {
-    "counterexample": frozenset(),
-    "conjunction_evolvability": frozenset(
-        {"n", "target_size", "epsilon", "trials", "seed", "t", "s", "g", "q"}),
-    "structural_vs_functional": frozenset(
-        {"n", "k", "epsilon", "target", "trials", "seed", "t", "s", "g", "q",
-         "aggregator", "term_fitness"}),
-    "parity": frozenset(
-        {"n", "parity_size", "epsilon", "trials", "seed", "t", "s", "g", "q"}),
-    "redundancy_bias": frozenset(
-        {"n", "k", "epsilon", "target", "trials", "seed", "t", "s", "g", "q"}),
-}
-
+# Defaults applied when a key is absent from a config.  An experiment
+# accepts the parameters of its run_* function, plus 'k' wherever it takes
+# a target; 'k' is checked against that target and consumed.
 _EXPERIMENT_DEFAULTS = {
     "counterexample": {},
     "conjunction_evolvability": {
@@ -52,6 +40,9 @@ _EXPERIMENT_DEFAULTS = {
         "seed": 0},
 }
 
+# Config keys that cmd_run consumes instead of passing to the experiment.
+_CMD_RUN_KEYS = ("experiment", "out", "formats")
+
 _CSV_COLUMNS = ("trial", "generation", "representation", "emp_perf",
                 "exact_perf", "n_beneficial", "n_neutral", "chose")
 
@@ -65,12 +56,10 @@ def experiment_kwargs(cfg: RunConfig) -> dict:
     if cfg.experiment not in REGISTRY:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}; choose "
                           f"from {', '.join(sorted(REGISTRY))}")
-    accepted = _EXPERIMENT_KEYS[cfg.experiment]
-    supplied = {key: getattr(cfg, key) for key in
-                ("n", "epsilon", "target", "target_size", "parity_size",
-                 "aggregator", "term_fitness", "t", "s", "g", "q", "trials",
-                 "seed", "k")
-                if getattr(cfg, key) is not None}
+    params = inspect.signature(REGISTRY[cfg.experiment]).parameters
+    accepted = set(params) | ({"k"} if "target" in params else set())
+    supplied = {key: getattr(cfg, key) for key in KNOWN_KEYS
+                if key not in _CMD_RUN_KEYS and getattr(cfg, key) is not None}
     for key in supplied:
         if key not in accepted:
             raise ConfigError(
@@ -78,10 +67,14 @@ def experiment_kwargs(cfg: RunConfig) -> dict:
                 f"{cfg.experiment!r}")
     kwargs = dict(_EXPERIMENT_DEFAULTS[cfg.experiment])
     kwargs.update(supplied)
-    kwargs.pop("k", None)
+    k = kwargs.pop("k", None)
     if "target" in kwargs:
-        kwargs["target"] = (cfg.target_fn if cfg.target_fn is not None
-                            else parse_function(kwargs["target"]))
+        target = (cfg.target_fn if cfg.target_fn is not None
+                  else parse_function(kwargs["target"]))
+        k_actual = getattr(target, "k", 1)
+        if k is not None and k != k_actual:
+            raise ConfigError(f"k = {k} but target has {k_actual} clause(s)")
+        kwargs["target"] = target
     return kwargs
 
 

@@ -15,6 +15,7 @@ type and range violations.  Values never contain '#'.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import get_args, get_type_hints
 
 from .errors import ConfigError
 from .funcspec import parse_function
@@ -22,13 +23,6 @@ from .perf import Aggregator
 from .rng import MASK64
 
 FORMATS = ("json", "csv", "txt")
-
-_INT_KEYS = ("n", "k", "target_size", "parity_size", "s", "g", "q",
-             "trials", "seed")
-_FLOAT_KEYS = ("epsilon", "t")
-_STR_KEYS = ("experiment", "target", "aggregator", "term_fitness", "out",
-             "formats")
-KNOWN_KEYS = _INT_KEYS + _FLOAT_KEYS + _STR_KEYS
 
 
 @dataclass
@@ -55,13 +49,21 @@ class RunConfig:
     formats: tuple = FORMATS
 
 
+# Every field but target_fn, which is parsed from target, is a config key;
+# its annotation, less the None, gives the type its text converts to.
+_KEY_TYPES = {key: (get_args(hint) or (hint,))[0]
+              for key, hint in get_type_hints(RunConfig).items()
+              if key != "target_fn"}
+KNOWN_KEYS = tuple(_KEY_TYPES)
+
+
 def _convert(key: str, value: str, line: int):
-    if key in _INT_KEYS:
+    if _KEY_TYPES[key] is int:
         try:
             return int(value)
         except ValueError:
             raise ConfigError(f"{key} must be an integer, got {value!r}", line)
-    if key in _FLOAT_KEYS:
+    if _KEY_TYPES[key] is float:
         try:
             return float(value)
         except ValueError:

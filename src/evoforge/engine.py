@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Literal
 
-from .boolfn import Assignment, OutputConvention, exact_perf
+from .boolfn import exact_perf
 from .errors import ContractError, EnumerationBudgetError, ParameterError
 from .perf import SampleSpec, empirical_perf
 from .rng import MASK64, derive_seed, weighted_choice
@@ -86,10 +86,6 @@ class RepresentationClass(ABC):
     neigh_cap: int
 
     @abstractmethod
-    def evaluate(self, rep, x: Assignment) -> int:
-        """Output of the represented function at one point."""
-
-    @abstractmethod
     def neighborhood(self, rep, epsilon: float) -> list:
         """All one-generation mutations of rep, including rep itself."""
 
@@ -147,11 +143,8 @@ class CorrelationFitness:
     could only enumerate and whose cube is too large for that.
     """
 
-    def __init__(self, target,
-                 convention: OutputConvention = OutputConvention.SIGNED,
-                 exact_mode: bool = False):
+    def __init__(self, target, exact_mode: bool = False):
         self.target = target
-        self.convention = convention
         self.exact_mode = exact_mode
 
     def estimate(self, fn, n: int, s: int, seed: int,
@@ -159,13 +152,12 @@ class CorrelationFitness:
         if counters is not None:
             counters.add(1, 0 if self.exact_mode else s)
         if self.exact_mode:
-            return float(exact_perf(fn, self.target, n, self.convention))
-        return empirical_perf(fn, self.target, n, SampleSpec(s, seed),
-                              self.convention)
+            return float(exact_perf(fn, self.target, n))
+        return empirical_perf(fn, self.target, n, SampleSpec(s, seed))
 
     def exact_value(self, fn, n: int) -> float | None:
         try:
-            return float(exact_perf(fn, self.target, n, self.convention))
+            return float(exact_perf(fn, self.target, n))
         except EnumerationBudgetError:
             return None
 
@@ -228,21 +220,6 @@ def _advance(rep, cls, params: EvolutionParams, gen_seed: int, gen: int,
         exact_perf=fitness.exact_value(cls.function(rep), params.n),
         n_beneficial=len(beneficial), n_neutral=len(neutral), chose=chose)
     return nb[pick], record
-
-
-def step(rep, cls: RepresentationClass, target, params: EvolutionParams,
-         rng_state: int, gen: int = 0, fitness=None,
-         counters: EvalCounters | None = None):
-    """One generation: estimate incumbent and neighbors, classify, select.
-
-    rng_state seeds this generation's streams; evolve derives one per
-    generation from the run seed.
-    """
-    fitness = fitness if fitness is not None else CorrelationFitness(target)
-    counters = counters if counters is not None else EvalCounters()
-    emp = fitness.estimate(cls.function(rep), params.n, params.s,
-                           derive_seed(rng_state, _SELF_TAG), counters)
-    return _advance(rep, cls, params, rng_state, gen, emp, fitness, counters)
 
 
 def evolve(r0, cls: RepresentationClass, target, params: EvolutionParams,

@@ -401,7 +401,7 @@ def evolve_conjunction_vs(target, params, q: int | None = None) -> EvolutionTrac
     """evolve_conjunction against an arbitrary target function.
 
     The conjunction machinery only needs the target through its fitness
-    oracle, so any function with truth/truth_batch works as the target.
+    oracle, so any function with truth_batch works as the target.
     """
     from .engine import CorrelationFitness, evolve
     from .representations import ConjunctionClass, ConjunctionRep

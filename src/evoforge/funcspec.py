@@ -56,7 +56,3 @@ def parse_function(text: str):
     if "|" in body:
         return parse_dnf(body)
     return parse_conjunction(body)
-
-
-def format_function(fn) -> str:
-    return fn.canonical()

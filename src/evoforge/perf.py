@@ -15,11 +15,9 @@ import numpy as np
 
 from . import _kernels
 from .boolfn import (MonotoneConjunction, MonotoneDnf, OutputConvention,
-                     ParityFunction, conj_perf_closed_form)
+                     ParityFunction, _check_dim, conj_perf_closed_form)
 from .errors import DimensionMismatchError, KMismatchError, ParameterError
-from .rng import derive_seed, sample_blocks
-
-MASK64 = (1 << 64) - 1
+from .rng import MASK64, derive_seed, sample_blocks
 
 
 @dataclass(frozen=True)
@@ -81,18 +79,12 @@ class PerfMatrix:
 def _truth_counts_generic(r, f, n: int, s: int, seed: int) -> tuple[int, int, int]:
     c_both = c_r = c_f = 0
     for xs in sample_blocks(seed, s, n):
-        tr = r.truth_batch(xs) if hasattr(r, "truth_batch") else _truth_loop(r, xs, n)
-        tf = f.truth_batch(xs) if hasattr(f, "truth_batch") else _truth_loop(f, xs, n)
+        tr = r.truth_batch(xs)
+        tf = f.truth_batch(xs)
         c_both += int(np.count_nonzero(tr & tf))
         c_r += int(np.count_nonzero(tr))
         c_f += int(np.count_nonzero(tf))
     return c_both, c_r, c_f
-
-
-def _truth_loop(fn, xs: np.ndarray, n: int) -> np.ndarray:
-    from .boolfn import Assignment
-    return np.fromiter((bool(fn.truth(Assignment(n, int(b)))) for b in xs),
-                       dtype=bool, count=len(xs))
 
 
 def _sample_counts(r, f, n: int, s: int, seed: int) -> tuple[int, int, int]:
@@ -116,10 +108,8 @@ def empirical_perf(r, f, n: int, spec: SampleSpec,
     The estimate is assembled from integer counts, making it an exact
     multiple of 1/s.
     """
-    for fn in (r, f):
-        top = getattr(fn, "max_literal", 0)
-        if top > n:
-            raise DimensionMismatchError(f"function uses x{top} but n={n}")
+    _check_dim(r, n)
+    _check_dim(f, n)
     c_both, c_r, c_f = _sample_counts(r, f, n, spec.s, spec.seed)
     if convention is OutputConvention.SIGNED:
         return (4 * c_both - 2 * c_r - 2 * c_f + spec.s) / spec.s

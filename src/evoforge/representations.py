@@ -9,9 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .boolfn import (Assignment, MonotoneConjunction, MonotoneDnf,
-                     OutputConvention, conj_perf_closed_form,
-                     eval_conjunction)
+from .boolfn import MonotoneConjunction, MonotoneDnf, conj_perf_closed_form
 from .engine import (CorrelationFitness, EvalCounters, EvolutionParams,
                      EvolutionTrace, RepresentationClass, evolve)
 from .errors import KMismatchError, ParameterError
@@ -87,20 +85,14 @@ def default_neigh_cap(n: int) -> int:
 class ConjunctionClass(RepresentationClass):
     """Monotone conjunctions over n variables with add/remove/swap moves."""
 
-    def __init__(self, n: int, q: int | None = None,
-                 neigh_cap: int | None = None,
-                 convention: OutputConvention = OutputConvention.SIGNED):
+    def __init__(self, n: int, q: int | None = None):
         if n < 1:
             raise ParameterError(f"n must be >= 1, got {n}")
         self.n = n
         self.q = n if q is None else q
         if not 1 <= self.q <= n:
             raise ParameterError(f"size cap must be in 1..{n}, got {self.q}")
-        self.neigh_cap = default_neigh_cap(n) if neigh_cap is None else neigh_cap
-        self.convention = convention
-
-    def evaluate(self, rep: ConjunctionRep, x: Assignment) -> int:
-        return eval_conjunction(rep.conj, x, self.convention)
+        self.neigh_cap = default_neigh_cap(n)
 
     def neighborhood(self, rep: ConjunctionRep,
                      epsilon: float) -> list[ConjunctionRep]:
@@ -150,24 +142,21 @@ class BestClauseFitness:
     clause comparison burns its own derived sample stream.
     """
 
-    def __init__(self, target: MonotoneDnf,
-                 convention: OutputConvention = OutputConvention.SIGNED):
+    def __init__(self, target: MonotoneDnf):
         self.target = target
-        self.convention = convention
 
     def estimate(self, fn, n: int, s: int, seed: int,
                  counters: EvalCounters | None = None) -> float:
         if counters is not None:
             counters.add(self.target.k, self.target.k * s)
         return max(
-            empirical_perf(fn, clause, n, SampleSpec(s, derive_seed(seed, i)),
-                           self.convention)
+            empirical_perf(fn, clause, n, SampleSpec(s, derive_seed(seed, i)))
             for i, clause in enumerate(self.target.clauses))
 
     def exact_value(self, fn, n: int) -> float | None:
         if not isinstance(fn, MonotoneConjunction):
             return None
-        return float(max(conj_perf_closed_form(fn, c, self.convention)
+        return float(max(conj_perf_closed_form(fn, c)
                          for c in self.target.clauses))
 
 

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from brute import OpaqueFunction, brute_perf
 from evoforge import boolfn
-from evoforge.boolfn import (Assignment, MonotoneConjunction, MonotoneDnf,
+from evoforge.boolfn import (MonotoneConjunction, MonotoneDnf,
                              OutputConvention, ParityFunction,
-                             conj_perf_closed_form, eval_conjunction,
-                             eval_dnf, eval_parity, exact_perf, truth_table)
+                             conj_perf_closed_form, exact_perf, truth_table)
 from evoforge.errors import (DimensionMismatchError, EnumerationBudgetError,
                              ParameterError)
+from evoforge.perf import SampleSpec, empirical_perf
 
 SIGNED = OutputConvention.SIGNED
 BINARY = OutputConvention.BINARY
@@ -25,6 +25,19 @@ def conj(*vars_):
 
 def dnf(*clauses):
     return MonotoneDnf(tuple(conj(*c) for c in clauses))
+
+
+def point(text):
+    """Pack "110" as x1=1, x2=1, x3=0: the leftmost character is bit 0."""
+    return np.array([int(text[::-1], 2)], dtype=np.uint32)
+
+
+def holds(fn, text):
+    return bool(fn.truth_batch(point(text))[0])
+
+
+def bit(x, var):
+    return (x >> (var - 1)) & 1
 
 
 # small-function strategies used across this file
@@ -53,41 +66,17 @@ def cube_functions(draw, n):
     return MonotoneDnf(MonotoneConjunction(c) for c in clauses)
 
 
-class TestAssignment:
-    def test_from_string_leftmost_is_x1(self):
-        x = Assignment.from_string("110")
-        assert (x.value(1), x.value(2), x.value(3)) == (1, 1, 0)
-        assert str(x) == "110"
-
-    def test_roundtrip(self):
-        for s in ("0", "1", "10011000", "0000"):
-            assert str(Assignment.from_string(s)) == s
-
-    def test_bad_inputs(self):
-        with pytest.raises(ParameterError):
-            Assignment.from_string("")
-        with pytest.raises(ParameterError):
-            Assignment.from_string("012")
-        with pytest.raises(ParameterError):
-            Assignment(0, 1)  # n must be >= 1
-
-    def test_value_out_of_range(self):
-        x = Assignment.from_string("10")
-        with pytest.raises(DimensionMismatchError):
-            x.value(3)
-
-
 class TestConjunction:
     def test_eval_examples(self):
-        assert eval_conjunction(conj(1, 2), Assignment.from_string("110"), SIGNED) == 1
-        assert eval_conjunction(conj(), Assignment.from_string("000"), SIGNED) == 1
-        assert eval_conjunction(conj(1, 4, 5), Assignment.from_string("10011000"), BINARY) == 1
-        assert eval_conjunction(conj(1, 2), Assignment.from_string("100"), SIGNED) == -1
-        assert eval_conjunction(conj(1, 2), Assignment.from_string("100"), BINARY) == 0
+        assert holds(conj(1, 2), "110")
+        assert holds(conj(), "000")
+        assert holds(conj(1, 4, 5), "10011000")
+        assert not holds(conj(1, 2), "100")
+        assert not holds(conj(1, 2), "011")
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            conj(5).truth(Assignment.from_string("110"))
+        with pytest.raises(DimensionMismatchError, match="x5 but n=3"):
+            empirical_perf(conj(5), conj(1), 3, SampleSpec(10, 0))
 
     def test_bad_literals(self):
         with pytest.raises(ParameterError):
@@ -103,23 +92,20 @@ class TestConjunction:
     def test_truth_batch_matches_scalar(self):
         c = conj(1, 3)
         xs = np.arange(16, dtype=np.uint32)
-        batch = c.truth_batch(xs)
-        scalar = [c.truth(Assignment(4, int(v))) for v in xs]
-        assert batch.tolist() == scalar
+        scalar = [bit(x, 1) == 1 and bit(x, 3) == 1 for x in range(16)]
+        assert c.truth_batch(xs).tolist() == scalar
 
 
 class TestDnf:
     def test_eval_examples(self):
-        d = dnf((1,), (2,), (3,))
-        assert eval_dnf(d, Assignment.from_string("000000"), SIGNED) == -1
+        assert not holds(dnf((1,), (2,), (3,)), "000000")
         tgt = dnf((1, 4, 5), (2, 4, 6), (3, 7, 8))
-        x = Assignment.from_string("01010100")  # x2=x4=x6=1
-        assert eval_dnf(tgt, x, SIGNED) == 1
+        assert holds(tgt, "01010100")  # x2=x4=x6=1
 
     def test_duplicate_clauses_legal(self):
         d = dnf((1,), (1,))
         assert d.k == 2
-        assert eval_dnf(d, Assignment.from_string("1"), SIGNED) == 1
+        assert holds(d, "1")
 
     def test_needs_a_clause(self):
         with pytest.raises(ParameterError):
@@ -130,17 +116,19 @@ class TestDnf:
 
     def test_or_of_clauses_exhaustive(self):
         d = dnf((1, 4), (2, 3), (1,))
-        for bits in range(2 ** 6):
-            x = Assignment(6, bits)
-            want = max(eval_conjunction(c, x, BINARY) for c in d.clauses)
-            assert eval_dnf(d, x, BINARY) == want
+        xs = np.arange(2 ** 6, dtype=np.uint32)
+        want = [any(all(bit(x, v) for v in c.literals) for c in d.clauses)
+                for x in range(2 ** 6)]
+        assert d.truth_batch(xs).tolist() == want
 
 
 class TestParity:
     def test_eval_examples(self):
-        assert eval_parity(ParityFunction(frozenset({1})), Assignment.from_string("1")) == -1
-        assert eval_parity(ParityFunction(frozenset({1, 2})), Assignment.from_string("11")) == 1
-        assert eval_parity(ParityFunction(frozenset({1, 2, 3})), Assignment.from_string("101")) == 1
+        # true is output +1: an even number of the variables are set
+        assert not holds(ParityFunction(frozenset({1})), "1")
+        assert holds(ParityFunction(frozenset({1, 2})), "11")
+        assert holds(ParityFunction(frozenset({1, 2, 3})), "101")
+        assert not holds(ParityFunction(frozenset({1, 2, 3})), "100")
 
     def test_nonempty(self):
         with pytest.raises(ParameterError):
@@ -152,9 +140,8 @@ class TestParity:
     def test_truth_batch_matches_scalar(self):
         p = ParityFunction(frozenset({1, 3}))
         xs = np.arange(16, dtype=np.uint32)
-        batch = p.truth_batch(xs)
-        scalar = [p.truth(Assignment(4, int(v))) for v in xs]
-        assert batch.tolist() == scalar
+        scalar = [bit(x, 1) ^ bit(x, 3) == 0 for x in range(16)]
+        assert p.truth_batch(xs).tolist() == scalar
 
 
 class TestTruthTable:

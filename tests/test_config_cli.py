@@ -15,8 +15,8 @@ from evoforge.errors import ConfigError
 from evoforge.experiments import (REGISTRY, ExperimentReport,
                                   _trace_rows, evolve_conjunction_vs,
                                   golden_check, run_counterexample)
-from evoforge.funcspec import (format_function, parse_conjunction, parse_dnf,
-                               parse_function, parse_parity)
+from evoforge.funcspec import (parse_conjunction, parse_dnf, parse_function,
+                               parse_parity)
 from evoforge.perf import Aggregator, SampleSpec, empirical_perf
 
 
@@ -64,7 +64,7 @@ class TestFuncspec:
         "parity(x1,x2,x3)",
     ])
     def test_round_trip(self, text):
-        assert format_function(parse_function(text)) == text
+        assert parse_function(text).canonical() == text
 
 
 class TestParseConfig:
@@ -164,6 +164,24 @@ class TestExperimentKwargs:
             "experiment = structural_vs_functional\nk = 2\n"
             "target = x1&x2 | x3\n")
         assert "k" not in experiment_kwargs(cfg)
+
+    @pytest.mark.parametrize("experiment, k, clauses", [
+        ("structural_vs_functional", 5, 3),
+        ("redundancy_bias", 7, 2),
+    ])
+    def test_k_is_checked_against_default_target(self, tmp_path, capsys,
+                                                  experiment, k, clauses):
+        text = (f"experiment = {experiment}\nk = {k}\n"
+                "trials = 1\ns = 200\ng = 2\n")
+        message = f"k = {k} but target has {clauses} clause(s)"
+        with pytest.raises(ConfigError) as exc:
+            experiment_kwargs(parse_config(text))
+        assert str(exc.value) == message
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_unknown_experiment(self):
         cfg = parse_config("experiment = warp\n")

@@ -7,8 +7,7 @@ from brute import OpaqueFunction
 from evoforge.boolfn import MonotoneConjunction
 from evoforge.engine import (CorrelationFitness, EvalCounters,
                              EvolutionParams, RepresentationClass,
-                             classify_neighborhood, default_params, evolve,
-                             step)
+                             classify_neighborhood, default_params, evolve)
 from evoforge.errors import ContractError, ParameterError
 from evoforge.representations import (ConjunctionClass, ConjunctionRep,
                                       evolve_conjunction)
@@ -46,9 +45,6 @@ class TriStub(RepresentationClass):
     def __init__(self, weights=(0.2, 0.6, 0.2)):
         self.weights = list(weights)
 
-    def evaluate(self, rep, x):
-        return 0
-
     def neighborhood(self, rep, epsilon):
         return [rep, (rep, "b1"), (rep, "b2")]
 
@@ -63,9 +59,6 @@ class SoloStub(RepresentationClass):
     """Neighborhood is just the representation itself."""
 
     neigh_cap = 4
-
-    def evaluate(self, rep, x):
-        return 0
 
     def neighborhood(self, rep, epsilon):
         return [rep]
@@ -164,10 +157,14 @@ class TestClassifyNeighborhood:
 
 
 class TestStep:
+    """One generation, run as evolve with g = 1 on the stubs."""
+
     def test_self_only_is_forced_neutral(self):
         fit = TableFitness()
-        nxt, rec = step("a", SoloStub(), None, STUB_PARAMS, 17, fitness=fit)
-        assert nxt == "a"
+        tr = evolve("a", SoloStub(), None, replace(STUB_PARAMS, seed=17),
+                    fitness=fit)
+        assert tr.final_rep == "a"
+        rec = tr.records[0]
         assert rec.chose == "neutral"
         assert (rec.n_beneficial, rec.n_neutral) == (0, 1)
         assert rec.emp_perf == 0.0
@@ -176,10 +173,11 @@ class TestStep:
         cls = TriStub()
         fit = TableFitness({"base": 0.0, ("base", "b1"): 1.0,
                             ("base", "b2"): -1.0})
-        for state in range(50):
-            nxt, rec = step("base", cls, None, STUB_PARAMS, state,
-                            fitness=fit)
-            assert nxt == ("base", "b1")
+        for seed in range(50):
+            tr = evolve("base", cls, None, replace(STUB_PARAMS, seed=seed),
+                        fitness=fit)
+            assert tr.final_rep == ("base", "b1")
+            rec = tr.records[0]
             assert rec.chose == "beneficial"
             assert (rec.n_beneficial, rec.n_neutral) == (1, 1)
 
@@ -190,27 +188,30 @@ class TestStep:
         fit = TableFitness({"base": 0.0, ("base", "b1"): 1.0,
                             ("base", "b2"): 1.0})
         wins = sum(
-            step("base", cls, None, STUB_PARAMS, state, fitness=fit)[0]
-            == ("base", "b1")
-            for state in range(10000))
+            evolve("base", cls, None, replace(STUB_PARAMS, seed=seed),
+                   fitness=fit).final_rep == ("base", "b1")
+            for seed in range(10000))
         assert abs(wins / 10000 - 0.75) < 0.03
 
     def test_incumbent_estimated_exactly_once(self):
+        # generation 1 estimates only its incumbent before the budget ends
         fit = TableFitness()
-        step("base", TriStub(), None, STUB_PARAMS, 3, fitness=fit)
-        assert fit.calls == ["base", ("base", "b1"), ("base", "b2")]
+        tr = evolve("base", TriStub(), None, replace(STUB_PARAMS, seed=3),
+                    fitness=fit)
+        assert fit.calls == ["base", ("base", "b1"), ("base", "b2"),
+                             tr.final_rep]
 
     def test_counter_accounting(self):
-        c = EvalCounters()
-        step("base", TriStub(), None, STUB_PARAMS, 0,
-             fitness=TableFitness(), counters=c)
-        assert c.perf_evals == 3
-        assert c.samples == 3 * STUB_PARAMS.s
+        tr = evolve("base", TriStub(), None, STUB_PARAMS,
+                    fitness=TableFitness())
+        # three in generation 0, then generation 1's incumbent
+        assert tr.perf_evals == 3 + 1
+        assert tr.samples_drawn == (3 + 1) * STUB_PARAMS.s
 
 
 class TestNeighborhoodContract:
     def _run(self, cls):
-        step("base", cls, None, STUB_PARAMS, 0, fitness=TableFitness())
+        evolve("base", cls, None, STUB_PARAMS, fitness=TableFitness())
 
     def test_missing_self(self):
         class NoSelf(SoloStub):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evoforge.boolfn import (Assignment, MonotoneConjunction, MonotoneDnf,
+from evoforge.boolfn import (MonotoneConjunction, MonotoneDnf,
                              conj_perf_closed_form)
 from evoforge.engine import (CorrelationFitness, EvalCounters,
                              EvolutionParams, default_params)
@@ -141,12 +141,6 @@ class TestConjunctionClass:
         with pytest.raises(ParameterError):
             ConjunctionClass(4, q=0)
         assert ConjunctionClass(4).q == 4
-
-    def test_evaluate_signed(self):
-        cls = ConjunctionClass(3)
-        r = rep(3, 1)
-        assert cls.evaluate(r, Assignment.from_string("100")) == 1
-        assert cls.evaluate(r, Assignment.from_string("011")) == -1
 
     def test_function(self):
         assert ConjunctionClass(3).function(rep(3, 1, 2)) == conj(1, 2)
