@@ -18,32 +18,31 @@ from .errors import (ConfigError, ContractError, DimensionMismatchError,
                      ParameterError)
 from .experiments import (REGISTRY, ExperimentReport, GoldenCheck,
                           run_conjunction_evolvability, run_counterexample,
-                          run_experiment, run_parity, run_redundancy_bias,
+                          run_parity, run_redundancy_bias,
                           run_structural_vs_functional)
 from .perf import (Aggregator, PerfMatrix, SampleSpec, empirical_perf,
-                   gen_perf, global_success, matched_min, term_perf_matrix)
+                   gen_perf, matched_min, term_perf_matrix)
 from .representations import (BestClauseFitness, ConjunctionClass,
-                              ConjunctionRep, DnfEvolutionPlan, KdnfResult,
+                              ConjunctionRep, KdnfResult,
                               conj_mutation_weights, conj_neighborhood,
                               default_neigh_cap, evolve_conjunction,
-                              evolve_kdnf, short_clause_cap, term_seed)
+                              evolve_kdnf)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Aggregator", "BestClauseFitness", "ConfigError", "ConjunctionClass",
     "ConjunctionRep", "ContractError", "CorrelationFitness",
-    "DimensionMismatchError", "DnfEvolutionPlan", "EnumerationBudgetError",
-    "EvalCounters", "EvolutionParams", "EvolutionTrace", "EvoforgeError",
-    "ExperimentReport", "GenerationRecord", "GoldenCheck", "KMismatchError",
-    "KdnfResult", "MonotoneConjunction", "MonotoneDnf", "OutputConvention",
+    "DimensionMismatchError", "EnumerationBudgetError", "EvalCounters",
+    "EvolutionParams", "EvolutionTrace", "EvoforgeError", "ExperimentReport",
+    "GenerationRecord", "GoldenCheck", "KMismatchError", "KdnfResult",
+    "MonotoneConjunction", "MonotoneDnf", "OutputConvention",
     "ParameterError", "ParityFunction", "PerfMatrix", "REGISTRY",
     "RepresentationClass", "SampleSpec", "classify_neighborhood",
     "conj_mutation_weights", "conj_neighborhood", "conj_perf_closed_form",
     "default_neigh_cap", "default_params", "empirical_perf", "evolve",
     "evolve_conjunction", "evolve_kdnf", "exact_perf", "gen_perf",
-    "global_success", "matched_min", "run_conjunction_evolvability",
-    "run_counterexample", "run_experiment", "run_parity",
-    "run_redundancy_bias", "run_structural_vs_functional", "short_clause_cap",
-    "term_perf_matrix", "term_seed", "truth_table",
+    "matched_min", "run_conjunction_evolvability", "run_counterexample",
+    "run_parity", "run_redundancy_bias", "run_structural_vs_functional",
+    "term_perf_matrix", "truth_table",
 ]

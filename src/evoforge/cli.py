@@ -13,8 +13,10 @@ import io
 import json
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
-from .boolfn import OutputConvention, exact_perf
+from .boolfn import (MonotoneConjunction, MonotoneDnf, OutputConvention,
+                     exact_perf)
 from .config import KNOWN_KEYS, RunConfig, parse_config
 from .errors import (ConfigError, DimensionMismatchError,
                      EnumerationBudgetError, KMismatchError, ParameterError)
@@ -71,9 +73,15 @@ def experiment_kwargs(cfg: RunConfig) -> dict:
     if "target" in kwargs:
         target = (cfg.target_fn if cfg.target_fn is not None
                   else parse_function(kwargs["target"]))
-        k_actual = getattr(target, "k", 1)
-        if k is not None and k != k_actual:
-            raise ConfigError(f"k = {k} but target has {k_actual} clause(s)")
+        want = get_type_hints(REGISTRY[cfg.experiment])["target"]
+        if want is MonotoneDnf and isinstance(target, MonotoneConjunction):
+            target = MonotoneDnf((target,))  # a lone clause
+        if not isinstance(target, want):
+            raise ConfigError(f"experiment {cfg.experiment!r} needs a "
+                              f"{want.__name__} target, got "
+                              f"{target.canonical()}")
+        if k is not None and k != target.k:
+            raise ConfigError(f"k = {k} but target has {target.k} clause(s)")
         kwargs["target"] = target
     return kwargs
 

@@ -11,7 +11,7 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,8 +20,8 @@ from .boolfn import (MonotoneConjunction, MonotoneDnf, OutputConvention,
 from .engine import EvolutionTrace, default_params
 from .errors import ConfigError, ParameterError
 from .perf import Aggregator, gen_perf, term_perf_matrix
-from .representations import (DnfEvolutionPlan, default_neigh_cap,
-                              evolve_conjunction, evolve_kdnf)
+from .representations import (default_neigh_cap, evolve_conjunction,
+                              evolve_kdnf)
 from .rng import derive_seed, uniform_unit
 
 # The three-singleton hypothesis that tracks this target almost perfectly
@@ -145,6 +145,35 @@ def _gen_quantiles(gens: list) -> dict:
     }
 
 
+def _histogram(variables) -> dict:
+    """{"x<v>": occurrences} in variable order."""
+    return {f"x{v}": c for v, c in sorted(Counter(variables).items())}
+
+
+def _evolution_setup(n: int, epsilon: float, t: float | None, s: int | None,
+                     g: int | None, q: int | None) -> tuple:
+    """Stock params at seed 0, and the t/s/g/q/neigh_cap tail of a
+    report's params.  Each trial runs replace(params0, seed=...)."""
+    cap = default_neigh_cap(n)
+    params0 = default_params(n, epsilon, cap, t=t, s=s, g=g)
+    return params0, {"t": params0.t, "s": params0.s, "g": params0.g,
+                     "q": q if q is not None else n, "neigh_cap": cap}
+
+
+def _run_trials(trial, count: int) -> tuple[list, list]:
+    """Run trial(0..count-1), each returning (summary, traces).
+
+    Returns the summaries and the trace rows of every trace, both in
+    trial order.
+    """
+    summaries, rows = [], []
+    for summary, traces in _map_trials(trial, count):
+        summaries.append(summary)
+        for trace in traces:
+            rows.extend(_trace_rows(summary["trial"], trace))
+    return summaries, rows
+
+
 def run_counterexample() -> ExperimentReport:
     """High correlation with zero shared structure, in exact arithmetic.
 
@@ -157,7 +186,7 @@ def run_counterexample() -> ExperimentReport:
     signed_global = exact_perf(hyp, tgt, n, OutputConvention.SIGNED)
     binary_global = exact_perf(hyp, tgt, n, OutputConvention.BINARY)
     binary_self = exact_perf(tgt, tgt, n, OutputConvention.BINARY)
-    matrix = term_perf_matrix(hyp, tgt, n, mode="exact")
+    matrix = term_perf_matrix(hyp, tgt, n)
     per_agg = {agg: gen_perf(matrix, agg) for agg in Aggregator}
     checks = [
         golden_check("signed_global_perf", Fraction(-30, 256), signed_global),
@@ -197,17 +226,15 @@ def run_conjunction_evolvability(n: int, target_size: int, epsilon: float,
         raise ParameterError(f"target size {target_size} outside 0..{n}")
     if trials < 0:
         raise ParameterError(f"trials must be >= 0, got {trials}")
-    cap = default_neigh_cap(n)
-    params0 = default_params(n, epsilon, cap, t=t, s=s, g=g)
-    budget = params0.g * (cap + 1) * params0.s
+    params0, tail = _evolution_setup(n, epsilon, t, s, g, q)
+    budget = params0.g * (tail["neigh_cap"] + 1) * params0.s
 
-    def one(i: int) -> dict:
+    def one(i: int):
         tseed = derive_seed(seed, i)
         target = MonotoneConjunction(_random_subset(derive_seed(tseed, 0),
                                                     n, target_size))
-        params = default_params(n, epsilon, cap, seed=derive_seed(tseed, 1),
-                                t=t, s=s, g=g)
-        trace = evolve_conjunction(target, params, q=q)
+        trace = evolve_conjunction(
+            target, replace(params0, seed=derive_seed(tseed, 1)), q=q)
         return {
             "trial": i,
             "target": target.canonical(),
@@ -218,13 +245,9 @@ def run_conjunction_evolvability(n: int, target_size: int, epsilon: float,
                 trace.final_rep.conj, target, OutputConvention.SIGNED)),
             "perf_evals": trace.perf_evals,
             "samples_drawn": trace.samples_drawn,
-            "_trace": trace,
-        }
+        }, [trace]
 
-    results = _map_trials(one, trials)
-    rows = []
-    for r in results:
-        rows.extend(_trace_rows(r["trial"], r.pop("_trace")))
+    results, rows = _run_trials(one, trials)
     succ = [r for r in results if r["succeeded"]]
     rate = len(succ) / trials if trials else None
     aggregates = {
@@ -237,9 +260,7 @@ def run_conjunction_evolvability(n: int, target_size: int, epsilon: float,
     return ExperimentReport(
         name="conjunction_evolvability",
         params={"n": n, "target_size": target_size, "epsilon": epsilon,
-                "trials": trials, "seed": seed, "t": params0.t, "s": params0.s,
-                "g": params0.g, "q": q if q is not None else n,
-                "neigh_cap": cap},
+                "trials": trials, "seed": seed, **tail},
         trials=results, aggregates=aggregates, golden_checks=[],
         trace_rows=rows)
 
@@ -257,38 +278,30 @@ def run_structural_vs_functional(target: MonotoneDnf, epsilon: float,
     default, then reports global signed performance next to the min, max,
     mean, median, and matched-min of the clause-vs-clause matrix.  The
     headline check: mean max strictly above mean min, i.e. looking
-    functionally close while being structurally off.
+    functionally close while being structurally off.  aggregator is only
+    recorded in the report's params.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     n_eff = n if n is not None else max(target.max_literal, 1)
-    cap = default_neigh_cap(n_eff)
-    params0 = default_params(n_eff, epsilon, cap, t=t, s=s, g=g)
+    params0, tail = _evolution_setup(n_eff, epsilon, t, s, g, q)
 
-    def one(i: int) -> dict:
-        params = default_params(n_eff, epsilon, cap, seed=derive_seed(seed, i),
-                                t=t, s=s, g=g)
-        plan = DnfEvolutionPlan(k=target.k, params=params,
-                                aggregator=aggregator)
-        res = evolve_kdnf(target, plan, term_fitness=term_fitness, q=q)
+    def one(i: int):
+        res = evolve_kdnf(target, replace(params0, seed=derive_seed(seed, i)),
+                          term_fitness=term_fitness, q=q)
         out = {
             "trial": i,
             "result": res.result.canonical(),
             "global_signed_perf": float(exact_perf(
                 res.result, target, n_eff, OutputConvention.SIGNED)),
-            "terms_succeeded": sum(t.succeeded for t in res.traces),
+            "terms_succeeded": sum(tr.succeeded for tr in res.traces),
             "samples_drawn": res.samples_drawn,
         }
         for agg in Aggregator:
             out[f"gen_perf_{agg.value}"] = float(res.gen_perfs[agg])
-        out["_traces"] = res.traces
-        return out
+        return out, res.traces
 
-    results = _map_trials(one, trials)
-    rows = []
-    for r in results:
-        for trace in r.pop("_traces"):
-            rows.extend(_trace_rows(r["trial"], trace))
+    results, rows = _run_trials(one, trials)
     mean = lambda key: sum(r[key] for r in results) / len(results)
     aggregates = {
         "mean_global_signed_perf": mean("global_signed_perf"),
@@ -302,9 +315,7 @@ def run_structural_vs_functional(target: MonotoneDnf, epsilon: float,
         name="structural_vs_functional",
         params={"n": n_eff, "target": target.canonical(), "epsilon": epsilon,
                 "trials": trials, "seed": seed, "term_fitness": term_fitness,
-                "aggregator": aggregator.value, "t": params0.t, "s": params0.s,
-                "g": params0.g, "q": q if q is not None else n_eff,
-                "neigh_cap": cap},
+                "aggregator": aggregator.value, **tail},
         trials=results, aggregates=aggregates, golden_checks=checks,
         trace_rows=rows)
 
@@ -327,14 +338,12 @@ def run_parity(n: int, parity_size: int, epsilon: float, trials: int,
     if trials < 0:
         raise ParameterError(f"trials must be >= 0, got {trials}")
     target = ParityFunction(frozenset(range(1, parity_size + 1)))
-    cap = default_neigh_cap(n)
-    params0 = default_params(n, epsilon, cap, t=t, s=s, g=g)
+    params0, tail = _evolution_setup(n, epsilon, t, s, g, q)
     threshold = 1 - epsilon
 
-    def one(i: int) -> dict:
-        params = default_params(n, epsilon, cap, seed=derive_seed(seed, i),
-                                t=t, s=s, g=g)
-        trace = evolve_conjunction_vs(target, params, q=q)
+    def one(i: int):
+        trace = evolve_conjunction_vs(
+            target, replace(params0, seed=derive_seed(seed, i)), q=q)
         exacts = [rec.exact_perf for rec in trace.records
                   if rec.exact_perf is not None]
         exacts.append(float(exact_perf(trace.final_rep.conj, target, n,
@@ -347,13 +356,9 @@ def run_parity(n: int, parity_size: int, epsilon: float, trials: int,
             "max_emp_perf": max((rec.emp_perf for rec in trace.records),
                                 default=None),
             "samples_drawn": trace.samples_drawn,
-            "_trace": trace,
-        }
+        }, [trace]
 
-    results = _map_trials(one, trials)
-    rows = []
-    for r in results:
-        rows.extend(_trace_rows(r["trial"], r.pop("_trace")))
+    results, rows = _run_trials(one, trials)
     over = sum(1 for r in results if r["max_exact_perf"] > threshold)
 
     flat_table = []
@@ -390,8 +395,7 @@ def run_parity(n: int, parity_size: int, epsilon: float, trials: int,
         name="parity",
         params={"n": n, "parity_size": parity_size, "epsilon": epsilon,
                 "trials": trials, "seed": seed, "target": target.canonical(),
-                "t": params0.t, "s": params0.s, "g": params0.g,
-                "q": q if q is not None else n, "neigh_cap": cap},
+                **tail},
         trials=results,
         aggregates={**aggregates, "flat_landscape": flat_table},
         golden_checks=checks, trace_rows=rows)
@@ -448,8 +452,7 @@ def run_redundancy_bias(target: MonotoneDnf, epsilon: float, trials: int,
             "redundancy target needs >= 2 clauses sharing a literal; "
             f"got {target.canonical()}")
     n_eff = n if n is not None else max(target.max_literal, 1)
-    cap = default_neigh_cap(n_eff)
-    params0 = default_params(n_eff, epsilon, cap, t=t, s=s, g=g)
+    params0, tail = _evolution_setup(n_eff, epsilon, t, s, g, q)
     control = _disjoint_control(target, n_eff)
 
     def nearest_clause(conj: MonotoneConjunction, tgt: MonotoneDnf) -> int:
@@ -457,58 +460,40 @@ def run_redundancy_bias(target: MonotoneDnf, epsilon: float, trials: int,
                 for c in tgt.clauses]
         return max(range(len(vals)), key=lambda i: (vals[i], -i))
 
-    def run_variant(tgt: MonotoneDnf, variant: int, trial_offset: int):
-        def one(i: int) -> dict:
-            params = default_params(n_eff, epsilon, cap, t=t, s=s, g=g,
-                                    seed=derive_seed(seed, variant, i))
-            plan = DnfEvolutionPlan(k=tgt.k, params=params,
-                                    aggregator=Aggregator.MAX)
-            res = evolve_kdnf(tgt, plan, term_fitness="best_any", q=q)
+    def run_variant(tgt: MonotoneDnf, variant: int):
+        def one(i: int):
+            res = evolve_kdnf(
+                tgt, replace(params0, seed=derive_seed(seed, variant, i)),
+                term_fitness="best_any", q=q)
             assigned = [nearest_clause(c, tgt) for c in res.result.clauses]
-            out = {
-                "trial": trial_offset + i,
+            return {
+                "trial": variant * trials + i,
                 "result": res.result.canonical(),
                 "assigned_clauses": assigned,
                 "has_duplicate_convergence": len(set(assigned)) < len(assigned),
                 "gen_perf_max": float(res.gen_perfs[Aggregator.MAX]),
                 "samples_drawn": res.samples_drawn,
-            }
-            out["_traces"] = res.traces
-            return out
+            }, res.traces
 
-        results = _map_trials(one, trials)
-        rows = []
-        for r in results:
-            for trace in r.pop("_traces"):
-                rows.extend(_trace_rows(r["trial"], trace))
+        results, rows = _run_trials(one, trials)
         dup_freq = sum(r["has_duplicate_convergence"] for r in results) / trials
-        hist = Counter()
-        for r in results:
-            for part in r["result"].split(" | "):
-                for lit in part.split("&"):
-                    if lit != "true":
-                        hist[lit] += 1
-        return results, rows, dup_freq, dict(sorted(
-            hist.items(), key=lambda kv: int(kv[0][1:])))
+        hist = _histogram(int(lit[1:]) for r in results
+                          for part in r["result"].split(" | ")
+                          for lit in part.split("&") if lit != "true")
+        return results, rows, dup_freq, hist
 
-    shared_results, shared_rows, dup_shared, hist_shared = run_variant(
-        target, 0, 0)
-    trials_out = list(shared_results)
-    rows = list(shared_rows)
+    trials_out, rows, dup_shared, hist_shared = run_variant(target, 0)
     aggregates = {
         "duplicate_convergence_freq": dup_shared,
         "evolved_literal_histogram": hist_shared,
-        "target_literal_histogram": dict(sorted(
-            Counter(f"x{v}" for c in target.clauses
-                    for v in c.literals).items(),
-            key=lambda kv: int(kv[0][1:]))),
+        "target_literal_histogram": _histogram(
+            v for c in target.clauses for v in c.literals),
         "control_target": control.canonical() if control else None,
         "control_trial_offset": trials if control else None,
         "duplicate_convergence_freq_control": None,
     }
     if control is not None:
-        ctrl_results, ctrl_rows, dup_ctrl, hist_ctrl = run_variant(
-            control, 1, trials)
+        ctrl_results, ctrl_rows, dup_ctrl, hist_ctrl = run_variant(control, 1)
         trials_out.extend(ctrl_results)
         rows.extend(ctrl_rows)
         aggregates["duplicate_convergence_freq_control"] = dup_ctrl
@@ -516,9 +501,7 @@ def run_redundancy_bias(target: MonotoneDnf, epsilon: float, trials: int,
     return ExperimentReport(
         name="redundancy_bias",
         params={"n": n_eff, "target": target.canonical(), "epsilon": epsilon,
-                "trials": trials, "seed": seed, "t": params0.t, "s": params0.s,
-                "g": params0.g, "q": q if q is not None else n_eff,
-                "neigh_cap": cap},
+                "trials": trials, "seed": seed, **tail},
         trials=trials_out, aggregates=aggregates, golden_checks=[],
         trace_rows=rows)
 
@@ -531,9 +514,3 @@ REGISTRY = {
     "redundancy_bias": run_redundancy_bias,
 }
 
-
-def run_experiment(name: str, **kwargs) -> ExperimentReport:
-    if name not in REGISTRY:
-        raise ConfigError(f"unknown experiment {name!r}; "
-                          f"choose from {', '.join(sorted(REGISTRY))}")
-    return REGISTRY[name](**kwargs)

@@ -17,7 +17,7 @@ from . import _kernels
 from .boolfn import (MonotoneConjunction, MonotoneDnf, OutputConvention,
                      ParityFunction, _check_dim, conj_perf_closed_form)
 from .errors import DimensionMismatchError, KMismatchError, ParameterError
-from .rng import MASK64, derive_seed, sample_blocks
+from .rng import MASK64, sample_blocks
 
 
 @dataclass(frozen=True)
@@ -117,34 +117,19 @@ def empirical_perf(r, f, n: int, spec: SampleSpec,
 
 
 def term_perf_matrix(r: MonotoneDnf, f: MonotoneDnf, n: int,
-                     mode: str | SampleSpec = "exact",
                      convention: OutputConvention = OutputConvention.SIGNED,
                      ) -> PerfMatrix:
-    """Clause-by-clause performance matrix of hypothesis r against target f.
-
-    mode "exact" uses the closed form (entries are Fractions); a SampleSpec
-    estimates each entry from its own derived seed, so entry (i, j) is
-    reproducible in isolation.
-    """
+    """Exact clause-by-clause performance matrix of hypothesis r against
+    target f, from the closed form (entries are Fractions)."""
     if r.k != f.k:
         raise KMismatchError(f"clause counts differ: {r.k} vs {f.k}")
     top = max(r.max_literal, f.max_literal)
     if top > n:
         raise DimensionMismatchError(f"clauses use x{top} but n={n}")
-    rows = []
-    for i, fi in enumerate(f.clauses):
-        row = []
-        for j, rj in enumerate(r.clauses):
-            if mode == "exact":
-                row.append(conj_perf_closed_form(rj, fi, convention))
-            elif isinstance(mode, SampleSpec):
-                row.append(empirical_perf(
-                    rj, fi, n, SampleSpec(mode.s, derive_seed(mode.seed, i, j)),
-                    convention))
-            else:
-                raise ParameterError(f"unknown matrix mode {mode!r}")
-        rows.append(tuple(row))
-    return PerfMatrix(entries=tuple(rows), convention=convention)
+    return PerfMatrix(
+        entries=tuple(tuple(conj_perf_closed_form(rj, fi, convention)
+                            for rj in r.clauses) for fi in f.clauses),
+        convention=convention)
 
 
 def _has_row_matching(entries, k: int, threshold) -> bool:
@@ -201,9 +186,3 @@ def gen_perf(matrix: PerfMatrix, aggregator: Aggregator):
         return matched_min(matrix)
     raise ParameterError(f"unknown aggregator {aggregator!r}")
 
-
-def global_success(perf_value, epsilon: float) -> bool:
-    """Strict success predicate: performance exceeds 1 - epsilon."""
-    if not 0 < epsilon < 1:
-        raise ParameterError(f"epsilon must be in (0,1), got {epsilon}")
-    return perf_value > 1 - epsilon

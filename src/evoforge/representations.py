@@ -12,9 +12,9 @@ from dataclasses import dataclass, replace
 from .boolfn import MonotoneConjunction, MonotoneDnf, conj_perf_closed_form
 from .engine import (CorrelationFitness, EvalCounters, EvolutionParams,
                      EvolutionTrace, RepresentationClass, evolve)
-from .errors import KMismatchError, ParameterError
-from .perf import Aggregator, PerfMatrix, SampleSpec, empirical_perf, gen_perf, \
-    term_perf_matrix
+from .errors import ParameterError
+from .perf import (Aggregator, PerfMatrix, SampleSpec, empirical_perf,
+                   gen_perf, term_perf_matrix)
 from .rng import derive_seed
 
 
@@ -33,15 +33,7 @@ class ConjunctionRep:
                 f"conjunction has {self.conj.size} variables, cap is {self.q}")
 
 
-def short_clause_cap(epsilon: float) -> int:
-    """Size cap ceil(log2(3/epsilon)) for the short-clause regime."""
-    if not 0 < epsilon < 1:
-        raise ParameterError(f"epsilon must be in (0,1), got {epsilon}")
-    return math.ceil(math.log2(3 / epsilon))
-
-
-def conj_neighborhood(r: ConjunctionRep, n: int,
-                      epsilon: float | None = None) -> list[ConjunctionRep]:
+def conj_neighborhood(r: ConjunctionRep, n: int) -> list[ConjunctionRep]:
     """All single-edit mutations of r over variables 1..n, r itself first.
 
     Order: self, then additions by ascending variable, removals by
@@ -96,7 +88,7 @@ class ConjunctionClass(RepresentationClass):
 
     def neighborhood(self, rep: ConjunctionRep,
                      epsilon: float) -> list[ConjunctionRep]:
-        return conj_neighborhood(rep, self.n, epsilon)
+        return conj_neighborhood(rep, self.n)
 
     def mutation_weights(self, rep: ConjunctionRep,
                          neighborhood: list[ConjunctionRep]) -> list[float]:
@@ -161,66 +153,33 @@ class BestClauseFitness:
 
 
 @dataclass(frozen=True)
-class DnfEvolutionPlan:
-    """How to evolve a k-clause DNF: shared per-term params and reporting.
-
-    aggregator picks the headline scalar from the clause-vs-clause
-    matrix; combine_order permutes evolved clauses in the output DNF.
-    """
-
-    k: int
-    params: EvolutionParams
-    aggregator: Aggregator = Aggregator.MATCHED_MIN
-    combine_order: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ParameterError(f"clause count must be >= 1, got {self.k}")
-        if not isinstance(self.aggregator, Aggregator):
-            raise ParameterError(f"not an aggregator: {self.aggregator!r}")
-        if self.combine_order is not None:
-            if sorted(self.combine_order) != list(range(self.k)):
-                raise ParameterError(
-                    f"combine_order must permute 0..{self.k - 1}, "
-                    f"got {self.combine_order}")
-
-
-def term_seed(plan: DnfEvolutionPlan, i: int) -> int:
-    """Run seed for term i; with k=1 term 0 reproduces evolve_conjunction
-    called at this seed."""
-    return derive_seed(plan.params.seed, i)
-
-
-@dataclass(frozen=True)
 class KdnfResult:
     result: MonotoneDnf
     traces: tuple[EvolutionTrace, ...]
     matrix: PerfMatrix
     gen_perfs: dict
-    headline: float
     perf_evals: int
     samples_drawn: int
 
 
-def evolve_kdnf(target: MonotoneDnf, plan: DnfEvolutionPlan, *,
+def evolve_kdnf(target: MonotoneDnf, params: EvolutionParams, *,
                 term_fitness: str = "paired",
                 q: int | None = None) -> KdnfResult:
     """Evolve each clause of target separately, then recombine.
 
-    term_fitness "paired" evolves term i against target clause i alone;
-    "best_any" scores every term against its best-matching target clause
-    (the redundancy-bias variant).  The exact clause-vs-clause matrix of
-    the combined result is evaluated under every aggregator.
+    Term i runs at seed derive_seed(params.seed, i); with one clause,
+    "paired" reproduces evolve_conjunction at that seed.  term_fitness
+    "paired" evolves term i against target clause i alone; "best_any"
+    scores every term against its best-matching target clause (the
+    redundancy-bias variant).  The exact clause-vs-clause matrix of the
+    combined result is evaluated under every aggregator.
     """
-    if plan.k != target.k:
-        raise KMismatchError(
-            f"plan expects {plan.k} clauses, target has {target.k}")
     if term_fitness not in ("paired", "best_any"):
         raise ParameterError(f"unknown term fitness mode: {term_fitness!r}")
-    q_eff = q if q is not None else plan.params.n
+    q_eff = q if q is not None else params.n
     traces = []
     for i, clause in enumerate(target.clauses):
-        tparams = replace(plan.params, seed=term_seed(plan, i))
+        tparams = replace(params, seed=derive_seed(params.seed, i))
         if term_fitness == "paired":
             traces.append(evolve_conjunction(clause, tparams, q=q_eff))
         else:
@@ -229,14 +188,13 @@ def evolve_kdnf(target: MonotoneDnf, plan: DnfEvolutionPlan, *,
                     f"target clause {i} has {clause.size} variables, "
                     f"exceeding cap {q_eff}")
             r0 = ConjunctionRep(MonotoneConjunction(frozenset()), q_eff)
-            cls = ConjunctionClass(plan.params.n, q=q_eff)
+            cls = ConjunctionClass(params.n, q=q_eff)
             traces.append(evolve(r0, cls, clause, tparams,
                                  BestClauseFitness(target)))
-    order = plan.combine_order or tuple(range(plan.k))
-    result = MonotoneDnf(tuple(traces[j].final_rep.conj for j in order))
-    matrix = term_perf_matrix(result, target, plan.params.n, mode="exact")
-    gen_perfs = {agg: gen_perf(matrix, agg) for agg in Aggregator}
+    result = MonotoneDnf(tuple(t.final_rep.conj for t in traces))
+    matrix = term_perf_matrix(result, target, params.n)
     return KdnfResult(result=result, traces=tuple(traces), matrix=matrix,
-                      gen_perfs=gen_perfs, headline=gen_perfs[plan.aggregator],
+                      gen_perfs={agg: gen_perf(matrix, agg)
+                                 for agg in Aggregator},
                       perf_evals=sum(t.perf_evals for t in traces),
                       samples_drawn=sum(t.samples_drawn for t in traces))

@@ -22,8 +22,7 @@ from evoforge.experiments import (COUNTEREXAMPLE_HYPOTHESIS,
                                   run_counterexample, run_parity,
                                   run_structural_vs_functional)
 from evoforge.perf import Aggregator, SampleSpec, empirical_perf
-from evoforge.representations import (DnfEvolutionPlan, default_neigh_cap,
-                                      evolve_kdnf)
+from evoforge.representations import default_neigh_cap, evolve_kdnf
 from evoforge.rng import derive_seed
 
 SIGNED = OutputConvention.SIGNED
@@ -123,8 +122,7 @@ def test_criterion_5_two_term_dnf_recombines():
     wins = 0
     for i in range(50):
         params = default_params(n, eps, cap, seed=derive_seed(5, i))
-        plan = DnfEvolutionPlan(k=2, params=params)
-        res = evolve_kdnf(target, plan)
+        res = evolve_kdnf(target, params)
         per_term_budget = params.g * (cap + 1) * params.s
         assert res.samples_drawn <= 2 * per_term_budget
         if float(res.gen_perfs[Aggregator.MATCHED_MIN]) > 0.9:

@@ -9,7 +9,7 @@ from evoforge.boolfn import (MonotoneConjunction, MonotoneDnf,
                              ParityFunction)
 from evoforge.cli import (_fmt, experiment_kwargs, main, report_json_text,
                           summary_text, trace_csv_text, write_outputs)
-from evoforge.config import parse_config
+from evoforge.config import KNOWN_KEYS, parse_config
 from evoforge.engine import EvolutionParams
 from evoforge.errors import ConfigError
 from evoforge.experiments import (REGISTRY, ExperimentReport,
@@ -187,6 +187,70 @@ class TestExperimentKwargs:
         cfg = parse_config("experiment = warp\n")
         with pytest.raises(ConfigError, match="unknown experiment"):
             experiment_kwargs(cfg)
+
+    EVOLUTION_KEYS = {"epsilon", "trials", "seed", "t", "s", "g", "q"}
+
+    @pytest.mark.parametrize("experiment, keys", [
+        ("counterexample", set()),
+        ("conjunction_evolvability", EVOLUTION_KEYS | {"n", "target_size"}),
+        ("structural_vs_functional",
+         EVOLUTION_KEYS | {"n", "target", "k", "term_fitness", "aggregator"}),
+        ("parity", EVOLUTION_KEYS | {"n", "parity_size"}),
+        ("redundancy_bias", EVOLUTION_KEYS | {"n", "target", "k"}),
+    ])
+    def test_accepted_keys(self, experiment, keys):
+        values = {"n": "8", "k": "2", "epsilon": "0.1",
+                  "target": "x1&x2 | x1&x3", "target_size": "2",
+                  "parity_size": "3", "aggregator": "max",
+                  "term_fitness": "paired", "t": "0.01", "s": "10", "g": "1",
+                  "q": "2", "trials": "1", "seed": "1"}
+        assert set(values) == set(KNOWN_KEYS) - {"experiment", "out",
+                                                 "formats"}
+        accepted = set()
+        for key, value in values.items():
+            cfg = parse_config(f"experiment = {experiment}\n"
+                               f"{key} = {value}\n")
+            try:
+                experiment_kwargs(cfg)
+            except ConfigError as exc:
+                if "does not apply" in str(exc):
+                    continue
+            accepted.add(key)
+        assert accepted == keys
+
+    @pytest.mark.parametrize("experiment, target", [
+        ("structural_vs_functional", "parity(x1,x2)"),
+        ("redundancy_bias", "parity(x1,x2)"),
+        ("redundancy_bias", "x1&x2"),
+    ])
+    def test_target_that_is_not_a_dnf_exits_2(self, tmp_path, capsys,
+                                              experiment, target):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"experiment = {experiment}\ntarget = {target}\n"
+                        "trials = 1\ns = 100\ng = 1\n")
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert target in err
+        assert not (tmp_path / "out").exists()
+
+    def test_lone_clause_target_is_a_one_clause_dnf(self, tmp_path, capsys):
+        cfg = parse_config("experiment = structural_vs_functional\n"
+                           "target = x1&x2\nk = 1\n")
+        assert experiment_kwargs(cfg)["target"] == MonotoneDnf((conj(1, 2),))
+        path = tmp_path / "run.cfg"
+        path.write_text("experiment = structural_vs_functional\n"
+                        "target = x1&x2\ntrials = 1\ns = 200\ng = 2\n")
+        # With one clause the matrix is 1x1, so its max equals its min and
+        # the strict max-above-min check fails: exit 1, outputs written.
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["params"]["target"] == "x1&x2"
+        assert report["trials"][0]["result"].count("|") == 0
+        assert ("golden check failures: mean_max_strictly_above_mean_min"
+                in capsys.readouterr().err)
 
 
 def failing_report():

@@ -9,8 +9,8 @@ from evoforge.experiments import (COUNTEREXAMPLE_HYPOTHESIS,
                                   COUNTEREXAMPLE_N, COUNTEREXAMPLE_TARGET,
                                   _map_trials, _random_subset, _worker_count,
                                   golden_check, run_conjunction_evolvability,
-                                  run_counterexample, run_experiment,
-                                  run_parity, run_redundancy_bias,
+                                  run_counterexample, run_parity,
+                                  run_redundancy_bias,
                                   run_structural_vs_functional)
 
 AGG_KEYS = ("min", "max", "mean", "median", "matched_min")
@@ -285,12 +285,3 @@ class TestWorkerPool:
         assert serial.trials == pooled.trials
         assert serial.aggregates == pooled.aggregates
         assert serial.trace_rows == pooled.trace_rows
-
-
-class TestRunExperiment:
-    def test_dispatch(self):
-        assert run_experiment("counterexample").name == "counterexample"
-
-    def test_unknown_name(self):
-        with pytest.raises(ConfigError, match="unknown experiment"):
-            run_experiment("nope")

@@ -18,8 +18,7 @@ from evoforge.boolfn import (MonotoneConjunction, MonotoneDnf,
 from evoforge.errors import (DimensionMismatchError, KMismatchError,
                              ParameterError)
 from evoforge.perf import (Aggregator, PerfMatrix, SampleSpec, empirical_perf,
-                           gen_perf, global_success, matched_min,
-                           term_perf_matrix)
+                           gen_perf, matched_min, term_perf_matrix)
 from evoforge.rng import (BLOCK, GAMMA, MASK64, derive_seed, mix64,
                           sample_assignments)
 
@@ -222,7 +221,7 @@ class TestPerfMatrix:
 
 class TestTermPerfMatrix:
     def test_counterexample_entries(self):
-        m = term_perf_matrix(CE_R, CE_F, 8, mode="exact")
+        m = term_perf_matrix(CE_R, CE_F, 8)
         assert m.entries[0][0] == Fraction(1, 4)
         assert m.entries[0][1] == 0
         for i in range(3):
@@ -231,7 +230,7 @@ class TestTermPerfMatrix:
 
     def test_identical_dnf_diagonal(self):
         d = dnf((1, 2), (3, 4))
-        m = term_perf_matrix(d, d, 8, mode="exact")
+        m = term_perf_matrix(d, d, 8)
         assert m.entries[0][0] == 1 and m.entries[1][1] == 1
         assert m.entries[0][1] == Fraction(1, 4)
         assert m.entries[1][0] == Fraction(1, 4)
@@ -245,34 +244,20 @@ class TestTermPerfMatrix:
             term_perf_matrix(dnf((9,)), dnf((1,)), 8)
 
     def test_exact_matches_closed_form(self):
-        m = term_perf_matrix(CE_R, CE_F, 8, mode="exact")
+        m = term_perf_matrix(CE_R, CE_F, 8)
         for i, fi in enumerate(CE_F.clauses):
             for j, rj in enumerate(CE_R.clauses):
                 assert m.entries[i][j] == conj_perf_closed_form(rj, fi, SIGNED)
 
     def test_ambient_n_invariance(self):
-        a = term_perf_matrix(CE_R, CE_F, 8, mode="exact")
-        b = term_perf_matrix(CE_R, CE_F, 12, mode="exact")
+        a = term_perf_matrix(CE_R, CE_F, 8)
+        b = term_perf_matrix(CE_R, CE_F, 12)
         assert a.entries == b.entries
 
-    def test_sampled_mode_reproducible_per_entry(self):
-        spec = SampleSpec(2000, 31)
-        m1 = term_perf_matrix(CE_R, CE_F, 8, mode=spec)
-        m2 = term_perf_matrix(CE_R, CE_F, 8, mode=spec)
-        assert m1.entries == m2.entries
-        # each entry is the standalone estimate at its derived seed
-        want = empirical_perf(CE_R.clauses[1], CE_F.clauses[0], 8,
-                              SampleSpec(2000, derive_seed(31, 0, 1)), SIGNED)
-        assert m1.entries[0][1] == want
-
     def test_k1_degenerate(self):
-        m = term_perf_matrix(dnf((1, 2)), dnf((2, 3)), 8, mode="exact")
+        m = term_perf_matrix(dnf((1, 2)), dnf((2, 3)), 8)
         assert m.k == 1
         assert m.entries[0][0] == conj_perf_closed_form(conj(1, 2), conj(2, 3), SIGNED)
-
-    def test_bad_mode(self):
-        with pytest.raises(ParameterError):
-            term_perf_matrix(CE_R, CE_F, 8, mode="guess")
 
 
 def matrix(rows):
@@ -298,7 +283,7 @@ class TestGenPerf:
 
     def test_identity_min_vs_matched_min(self):
         d = dnf((1, 2), (3, 4))
-        m = term_perf_matrix(d, d, 8, mode="exact")
+        m = term_perf_matrix(d, d, 8)
         assert gen_perf(m, Aggregator.MIN) < 1
         assert gen_perf(m, Aggregator.MATCHED_MIN) == 1
 
@@ -343,16 +328,3 @@ class TestGenPerf:
 
     def test_matched_min_1x1(self):
         assert matched_min(matrix([[0.5]])) == 0.5
-
-
-class TestGlobalSuccess:
-    def test_examples(self):
-        assert global_success(1.0, 0.1) is True
-        assert global_success(0.9, 0.1) is False
-        assert global_success(-0.1171875, 0.5) is False
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            global_success(0.5, 0.0)
-        with pytest.raises(ParameterError):
-            global_success(0.5, 1.0)

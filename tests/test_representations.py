@@ -9,14 +9,12 @@ from evoforge.boolfn import (MonotoneConjunction, MonotoneDnf,
                              conj_perf_closed_form)
 from evoforge.engine import (CorrelationFitness, EvalCounters,
                              EvolutionParams, default_params)
-from evoforge.errors import KMismatchError, ParameterError
+from evoforge.errors import ParameterError
 from evoforge.perf import Aggregator, SampleSpec, empirical_perf
 from evoforge.representations import (BestClauseFitness, ConjunctionClass,
-                                      ConjunctionRep, DnfEvolutionPlan,
-                                      conj_mutation_weights,
+                                      ConjunctionRep, conj_mutation_weights,
                                       conj_neighborhood, default_neigh_cap,
-                                      evolve_conjunction, evolve_kdnf,
-                                      short_clause_cap, term_seed)
+                                      evolve_conjunction, evolve_kdnf)
 from evoforge.rng import derive_seed
 
 
@@ -48,19 +46,6 @@ class TestConjunctionRep:
         r = rep(3, 1)
         with pytest.raises(AttributeError):
             r.q = 5
-
-
-class TestShortClauseCap:
-    def test_values(self):
-        assert short_clause_cap(0.1) == 5
-        assert short_clause_cap(0.25) == 4
-        assert short_clause_cap(0.5) == 3
-
-    def test_rejects(self):
-        with pytest.raises(ParameterError):
-            short_clause_cap(0.0)
-        with pytest.raises(ParameterError):
-            short_clause_cap(1.0)
 
 
 class TestNeighborhood:
@@ -198,89 +183,56 @@ class TestBestClauseFitness:
         assert (c.perf_evals, c.samples) == (3, 300)
 
 
-class TestDnfEvolutionPlan:
-    PARAMS = EvolutionParams(n=6, epsilon=0.2, t=0.025, s=500, g=40, seed=2)
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            DnfEvolutionPlan(k=0, params=self.PARAMS)
-        with pytest.raises(ParameterError):
-            DnfEvolutionPlan(k=2, params=self.PARAMS, aggregator="min")
-        with pytest.raises(ParameterError):
-            DnfEvolutionPlan(k=3, params=self.PARAMS, combine_order=(0, 1))
-        with pytest.raises(ParameterError):
-            DnfEvolutionPlan(k=2, params=self.PARAMS, combine_order=(0, 0))
-        plan = DnfEvolutionPlan(k=2, params=self.PARAMS,
-                                combine_order=(1, 0))
-        assert plan.aggregator is Aggregator.MATCHED_MIN
-
-    def test_term_seed(self):
-        plan = DnfEvolutionPlan(k=2, params=self.PARAMS)
-        assert term_seed(plan, 0) == derive_seed(self.PARAMS.seed, 0)
-        assert term_seed(plan, 1) != term_seed(plan, 0)
-
-
 class TestEvolveKdnf:
     PARAMS = EvolutionParams(n=6, epsilon=0.2, t=0.025, s=2000, g=60, seed=4)
 
-    def test_k_mismatch(self):
-        plan = DnfEvolutionPlan(k=3, params=self.PARAMS)
-        with pytest.raises(KMismatchError):
-            evolve_kdnf(dnf((1, 2), (3, 4)), plan)
-
     def test_unknown_mode(self):
-        plan = DnfEvolutionPlan(k=1, params=self.PARAMS)
         with pytest.raises(ParameterError, match="term fitness"):
-            evolve_kdnf(dnf((1, 2)), plan, term_fitness="greedy")
+            evolve_kdnf(dnf((1, 2)), self.PARAMS, term_fitness="greedy")
 
     def test_k1_matches_plain_conjunction_run(self):
         clause = conj(1, 2)
-        plan = DnfEvolutionPlan(k=1, params=self.PARAMS)
-        out = evolve_kdnf(dnf((1, 2)), plan)
+        out = evolve_kdnf(dnf((1, 2)), self.PARAMS)
         direct = evolve_conjunction(
-            clause, replace(self.PARAMS, seed=term_seed(plan, 0)))
+            clause, replace(self.PARAMS, seed=derive_seed(self.PARAMS.seed, 0)))
         assert out.traces == (direct,)
         if direct.succeeded:
             assert out.result == dnf((1, 2))
         assert out.perf_evals == direct.perf_evals
         assert out.samples_drawn == direct.samples_drawn
 
+    def test_term_i_runs_at_derived_seed(self):
+        target = dnf((1, 2), (3, 4))
+        out = evolve_kdnf(target, self.PARAMS)
+        seeds = [derive_seed(self.PARAMS.seed, i) for i in range(2)]
+        assert seeds[0] != seeds[1]
+        assert out.traces == tuple(
+            evolve_conjunction(clause, replace(self.PARAMS, seed=seed))
+            for clause, seed in zip(target.clauses, seeds))
+
     def test_deterministic(self):
         target = dnf((1, 2), (3, 4))
-        plan = DnfEvolutionPlan(k=2, params=self.PARAMS)
-        a = evolve_kdnf(target, plan)
-        b = evolve_kdnf(target, plan)
+        a = evolve_kdnf(target, self.PARAMS)
+        b = evolve_kdnf(target, self.PARAMS)
         assert a == b
 
-    def test_headline_and_gen_perfs(self):
+    def test_gen_perfs_cover_every_aggregator(self):
         target = dnf((1, 2), (3, 4))
-        plan = DnfEvolutionPlan(k=2, params=self.PARAMS,
-                                aggregator=Aggregator.MIN)
-        out = evolve_kdnf(target, plan)
+        out = evolve_kdnf(target, self.PARAMS)
         assert set(out.gen_perfs) == set(Aggregator)
-        assert out.headline == out.gen_perfs[Aggregator.MIN]
+        assert out.gen_perfs[Aggregator.MIN] == min(out.matrix.flat())
         assert out.matrix.k == 2
-
-    def test_combine_order_permutes_clauses(self):
-        target = dnf((1, 2), (3, 4))
-        plain = evolve_kdnf(target, DnfEvolutionPlan(k=2, params=self.PARAMS))
-        swapped = evolve_kdnf(
-            target,
-            DnfEvolutionPlan(k=2, params=self.PARAMS, combine_order=(1, 0)))
-        assert swapped.traces == plain.traces
-        assert swapped.result.clauses == tuple(
-            reversed(plain.result.clauses))
 
     def test_duplicate_clause_target_is_legal(self):
         target = dnf((1, 2), (1, 2))
-        out = evolve_kdnf(target, DnfEvolutionPlan(k=2, params=self.PARAMS))
+        out = evolve_kdnf(target, self.PARAMS)
         assert out.matrix.k == 2
         assert len(out.traces) == 2
 
     def test_budget_is_sum_of_terms(self):
         target = dnf((1, 2), (3, 4))
         cls_cap = default_neigh_cap(self.PARAMS.n)
-        out = evolve_kdnf(target, DnfEvolutionPlan(k=2, params=self.PARAMS))
+        out = evolve_kdnf(target, self.PARAMS)
         per_term = self.PARAMS.g * (cls_cap + 1) * self.PARAMS.s
         assert out.samples_drawn == sum(t.samples_drawn for t in out.traces)
         assert out.samples_drawn <= 2 * per_term
@@ -298,7 +250,7 @@ class TestEvolveKdnf:
         monkeypatch.setattr(mod, "CorrelationFitness", SpyFitness)
         target = dnf((1, 2), (3, 4))
         params = replace(self.PARAMS, s=50, g=2)
-        evolve_kdnf(target, DnfEvolutionPlan(k=2, params=params))
+        evolve_kdnf(target, params)
         assert seen == list(target.clauses)
 
     def test_best_any_mode_scores_against_whole_target(self, monkeypatch):
@@ -314,12 +266,11 @@ class TestEvolveKdnf:
         monkeypatch.setattr(mod, "BestClauseFitness", SpyFitness)
         target = dnf((1, 2), (3, 4))
         params = replace(self.PARAMS, s=50, g=2)
-        evolve_kdnf(target, DnfEvolutionPlan(k=2, params=params),
+        evolve_kdnf(target, params,
                     term_fitness="best_any")
         assert seen == [target, target]
 
     def test_best_any_rejects_oversize_clause(self):
         target = dnf((1, 2, 3), (4,))
-        plan = DnfEvolutionPlan(k=2, params=self.PARAMS)
         with pytest.raises(ParameterError, match="clause 0"):
-            evolve_kdnf(target, plan, term_fitness="best_any", q=2)
+            evolve_kdnf(target, self.PARAMS, term_fitness="best_any", q=2)

@@ -1,10 +1,11 @@
 """The committed results/ as a byte-for-byte regression fixture.
 
-Regenerates, through the CLI, the runs whose outputs come from exact_perf
-(the report of `counterexample`, the exact columns and flat-landscape
-table of `parity`, the global correlations of `structural_vs_functional`)
-and compares every output file with its committed copy.  results/ holds
-the `scripts/run_all.py --quick` outputs: seed 0, 5 trials.
+Regenerates every config's run through the CLI and compares each output
+file with its committed copy.  results/ holds the `scripts/run_all.py
+--quick` outputs: seed 0, 5 trials.  The exact_perf values of
+`counterexample`, `parity` and `structural_vs_functional` pin the exact
+oracle; the trial summaries and trace rows of all four evolution runs pin
+the evolution loop and the trial drivers.
 """
 from pathlib import Path
 
@@ -18,6 +19,8 @@ RUNS = [
     ("counterexample", []),
     ("parity", ["--trials", "5"]),
     ("structural_vs_functional", ["--trials", "5"]),
+    ("conjunction_evolvability", ["--trials", "5"]),
+    ("redundancy_bias", ["--trials", "5"]),
 ]
 
 
