@@ -14,8 +14,7 @@ import argparse
 import sys
 
 from evoforge.boolfn import MonotoneConjunction
-from evoforge.engine import default_params
-from evoforge.experiments import evolve_conjunction_vs
+from evoforge.engine import CorrelationFitness, default_params
 from evoforge.funcspec import parse_function
 from evoforge.representations import default_neigh_cap, evolve_conjunction
 
@@ -35,11 +34,10 @@ def run(argv=None) -> int:
     params = default_params(args.n, args.epsilon, default_neigh_cap(args.n),
                             seed=args.seed, g=args.g, s=args.s)
     if isinstance(target, MonotoneConjunction):
-        trace = evolve_conjunction(target, params, use_exact=True)
-        mode = "exact"
+        fitness, mode = CorrelationFitness(target, exact_mode=True), "exact"
     else:
-        trace = evolve_conjunction_vs(target, params)
-        mode = f"sampled (s={params.s})"
+        fitness, mode = None, f"sampled (s={params.s})"
+    trace = evolve_conjunction(target, params, fitness=fitness)
 
     print(f"target {target.canonical()}  n={params.n}  eps={params.epsilon}  "
           f"t={params.t}  mode={mode}")
@@ -47,15 +45,15 @@ def run(argv=None) -> int:
           f"{'#benef':>6} {'#neut':>6}  chose")
     for rec in trace.records:
         exact = "" if rec.exact_perf is None else f"{rec.exact_perf:10.6f}"
-        print(f"{rec.gen:>5}  {rec.rep.conj.canonical():<24} "
+        print(f"{rec.gen:>5}  {rec.rep.canonical():<24} "
               f"{rec.emp_perf:>10.6f}  {exact:>10}  "
               f"{rec.n_beneficial:>6} {rec.n_neutral:>6}  {rec.chose}")
     if trace.succeeded:
         print(f"succeeded at generation {trace.success_gen}: "
-              f"{trace.final_rep.conj.canonical()}")
+              f"{trace.final_rep.canonical()}")
     else:
         print(f"no success within g={params.g} generations "
-              f"(final {trace.final_rep.conj.canonical()})")
+              f"(final {trace.final_rep.canonical()})")
     print(f"perf evals {trace.perf_evals}, samples drawn {trace.samples_drawn}")
     return 0
 

@@ -23,18 +23,17 @@ from .experiments import (REGISTRY, ExperimentReport, GoldenCheck,
 from .perf import (Aggregator, PerfMatrix, SampleSpec, empirical_perf,
                    gen_perf, matched_min, term_perf_matrix)
 from .representations import (BestClauseFitness, ConjunctionClass,
-                              ConjunctionRep, KdnfResult,
-                              conj_mutation_weights, conj_neighborhood,
-                              default_neigh_cap, evolve_conjunction,
-                              evolve_kdnf)
+                              KdnfResult, conj_mutation_weights,
+                              conj_neighborhood, default_neigh_cap,
+                              evolve_conjunction, evolve_kdnf)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Aggregator", "BestClauseFitness", "ConfigError", "ConjunctionClass",
-    "ConjunctionRep", "ContractError", "CorrelationFitness",
-    "DimensionMismatchError", "EnumerationBudgetError", "EvalCounters",
-    "EvolutionParams", "EvolutionTrace", "EvoforgeError", "ExperimentReport",
+    "ContractError", "CorrelationFitness", "DimensionMismatchError",
+    "EnumerationBudgetError", "EvalCounters", "EvolutionParams",
+    "EvolutionTrace", "EvoforgeError", "ExperimentReport",
     "GenerationRecord", "GoldenCheck", "KMismatchError", "KdnfResult",
     "MonotoneConjunction", "MonotoneDnf", "OutputConvention",
     "ParameterError", "ParityFunction", "PerfMatrix", "REGISTRY",

@@ -18,53 +18,40 @@ from .perf import (Aggregator, PerfMatrix, SampleSpec, empirical_perf,
 from .rng import derive_seed
 
 
-@dataclass(frozen=True)
-class ConjunctionRep:
-    """A monotone conjunction together with its clause-size cap q."""
-
-    conj: MonotoneConjunction
-    q: int
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ParameterError(f"size cap must be >= 1, got {self.q}")
-        if self.conj.size > self.q:
-            raise ParameterError(
-                f"conjunction has {self.conj.size} variables, cap is {self.q}")
-
-
-def conj_neighborhood(r: ConjunctionRep, n: int) -> list[ConjunctionRep]:
+def conj_neighborhood(r: MonotoneConjunction, n: int,
+                      q: int) -> list[MonotoneConjunction]:
     """All single-edit mutations of r over variables 1..n, r itself first.
 
     Order: self, then additions by ascending variable, removals by
     ascending variable, swaps by (removed, added) ascending.  Additions
-    are suppressed at the size cap.  Size is 1 + (n-v) + v + v*(n-v)
+    are suppressed at the size cap q.  Size is 1 + (n-v) + v + v*(n-v)
     when the cap does not bind, with v = |vars|.
     """
-    present = sorted(r.conj.literals)
-    absent = [v for v in range(1, n + 1) if v not in r.conj.literals]
+    present = sorted(r.literals)
+    absent = [v for v in range(1, n + 1) if v not in r.literals]
     out = [r]
-    seen = {r.conj.literals}
+    seen = {r.literals}
 
     def push(lits):
         fs = frozenset(lits)
         if fs not in seen:
             seen.add(fs)
-            out.append(ConjunctionRep(MonotoneConjunction(fs), r.q))
+            out.append(MonotoneConjunction(fs))
 
-    if r.conj.size < r.q:
+    if r.size < q:
         for v in absent:
-            push(r.conj.literals | {v})
+            push(r.literals | {v})
     for v in present:
-        push(r.conj.literals - {v})
+        push(r.literals - {v})
     for u in present:
         for w in absent:
-            push((r.conj.literals - {u}) | {w})
+            push((r.literals - {u}) | {w})
     return out
 
 
-def conj_mutation_weights(r: ConjunctionRep,
-                          neighborhood: list[ConjunctionRep]) -> list[float]:
+def conj_mutation_weights(r: MonotoneConjunction,
+                          neighborhood: list[MonotoneConjunction]
+                          ) -> list[float]:
     """Uniform selection weights over the neighborhood."""
     return [1.0 / len(neighborhood)] * len(neighborhood)
 
@@ -75,7 +62,8 @@ def default_neigh_cap(n: int) -> int:
 
 
 class ConjunctionClass(RepresentationClass):
-    """Monotone conjunctions over n variables with add/remove/swap moves."""
+    """Monotone conjunctions of at most q of n variables, with
+    add/remove/swap moves.  A representation is the conjunction itself."""
 
     def __init__(self, n: int, q: int | None = None):
         if n < 1:
@@ -86,43 +74,42 @@ class ConjunctionClass(RepresentationClass):
             raise ParameterError(f"size cap must be in 1..{n}, got {self.q}")
         self.neigh_cap = default_neigh_cap(n)
 
-    def neighborhood(self, rep: ConjunctionRep,
-                     epsilon: float) -> list[ConjunctionRep]:
-        return conj_neighborhood(rep, self.n)
+    def neighborhood(self, rep: MonotoneConjunction,
+                     epsilon: float) -> list[MonotoneConjunction]:
+        return conj_neighborhood(rep, self.n, self.q)
 
-    def mutation_weights(self, rep: ConjunctionRep,
-                         neighborhood: list[ConjunctionRep]) -> list[float]:
+    def mutation_weights(self, rep: MonotoneConjunction,
+                         neighborhood: list[MonotoneConjunction]
+                         ) -> list[float]:
         return conj_mutation_weights(rep, neighborhood)
 
-    def function(self, rep: ConjunctionRep) -> MonotoneConjunction:
-        return rep.conj
+    def function(self, rep: MonotoneConjunction) -> MonotoneConjunction:
+        return rep
 
 
-def evolve_conjunction(target: MonotoneConjunction, params: EvolutionParams,
-                       r0: ConjunctionRep | None = None, *,
+def evolve_conjunction(target, params: EvolutionParams, *,
                        q: int | None = None,
-                       use_exact: bool = False) -> EvolutionTrace:
-    """Evolve a monotone conjunction toward target under signed correlation.
+                       fitness=None) -> EvolutionTrace:
+    """Evolve a monotone conjunction from the empty one toward target.
 
-    Starts from the empty conjunction unless r0 is given.  q bounds the
-    clause size (default: n, effectively uncapped); the target must fit
-    under it.  use_exact replaces sampling with exact expectations, for
-    landscape diagnostics.
+    target is any function the correlation oracles accept.  q bounds the
+    clause size (default: n, effectively uncapped); a conjunction target
+    must fit under it.  fitness defaults to sampled signed correlation
+    with target; CorrelationFitness(target, exact_mode=True) uses exact
+    expectations instead (landscape diagnostics), and BestClauseFitness
+    scores a DNF term against its best-matching clause.
     """
-    if r0 is not None and q is not None and r0.q != q:
-        raise ParameterError(f"r0 carries cap {r0.q} but q={q} was given")
-    q_eff = q if q is not None else (r0.q if r0 is not None else params.n)
-    if target.size > q_eff:
+    q_eff = q if q is not None else params.n
+    if isinstance(target, MonotoneConjunction) and target.size > q_eff:
         raise ParameterError(
             f"target has {target.size} variables, exceeding cap {q_eff}")
     if target.max_literal > params.n:
         raise ParameterError(
             f"target references x{target.max_literal} but n={params.n}")
-    if r0 is None:
-        r0 = ConjunctionRep(MonotoneConjunction(frozenset()), q_eff)
     cls = ConjunctionClass(params.n, q=q_eff)
-    fitness = CorrelationFitness(target, exact_mode=use_exact)
-    return evolve(r0, cls, target, params, fitness)
+    if fitness is None:
+        fitness = CorrelationFitness(target)
+    return evolve(MonotoneConjunction(), cls, target, params, fitness)
 
 
 class BestClauseFitness:
@@ -176,22 +163,14 @@ def evolve_kdnf(target: MonotoneDnf, params: EvolutionParams, *,
     """
     if term_fitness not in ("paired", "best_any"):
         raise ParameterError(f"unknown term fitness mode: {term_fitness!r}")
-    q_eff = q if q is not None else params.n
     traces = []
     for i, clause in enumerate(target.clauses):
-        tparams = replace(params, seed=derive_seed(params.seed, i))
-        if term_fitness == "paired":
-            traces.append(evolve_conjunction(clause, tparams, q=q_eff))
-        else:
-            if clause.size > q_eff:
-                raise ParameterError(
-                    f"target clause {i} has {clause.size} variables, "
-                    f"exceeding cap {q_eff}")
-            r0 = ConjunctionRep(MonotoneConjunction(frozenset()), q_eff)
-            cls = ConjunctionClass(params.n, q=q_eff)
-            traces.append(evolve(r0, cls, clause, tparams,
-                                 BestClauseFitness(target)))
-    result = MonotoneDnf(tuple(t.final_rep.conj for t in traces))
+        fitness = (BestClauseFitness(target) if term_fitness == "best_any"
+                   else None)
+        traces.append(evolve_conjunction(
+            clause, replace(params, seed=derive_seed(params.seed, i)),
+            q=q, fitness=fitness))
+    result = MonotoneDnf(tuple(t.final_rep for t in traces))
     matrix = term_perf_matrix(result, target, params.n)
     return KdnfResult(result=result, traces=tuple(traces), matrix=matrix,
                       gen_perfs={agg: gen_perf(matrix, agg)

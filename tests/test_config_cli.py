@@ -13,11 +13,12 @@ from evoforge.config import KNOWN_KEYS, parse_config
 from evoforge.engine import EvolutionParams
 from evoforge.errors import ConfigError
 from evoforge.experiments import (REGISTRY, ExperimentReport,
-                                  _trace_rows, evolve_conjunction_vs,
-                                  golden_check, run_counterexample)
+                                  _trace_rows, golden_check,
+                                  run_counterexample)
 from evoforge.funcspec import (parse_conjunction, parse_dnf, parse_function,
                                parse_parity)
 from evoforge.perf import Aggregator, SampleSpec, empirical_perf
+from evoforge.representations import evolve_conjunction
 
 
 def conj(*vars_):
@@ -287,7 +288,7 @@ class TestOutputText:
         # n = 25 is past the enumeration limit, so the trace carries no
         # exact column
         params = EvolutionParams(n=25, epsilon=0.5, t=0.1, s=100, g=2, seed=0)
-        trace = evolve_conjunction_vs(
+        trace = evolve_conjunction(
             OpaqueFunction(ParityFunction(frozenset({1, 2, 3}))), params)
         assert trace.records
         assert all(rec.exact_perf is None for rec in trace.records)

@@ -9,8 +9,7 @@ from evoforge.engine import (CorrelationFitness, EvalCounters,
                              EvolutionParams, RepresentationClass,
                              classify_neighborhood, default_params, evolve)
 from evoforge.errors import ContractError, ParameterError
-from evoforge.representations import (ConjunctionClass, ConjunctionRep,
-                                      evolve_conjunction)
+from evoforge.representations import ConjunctionClass, evolve_conjunction
 from evoforge.rng import MASK64
 
 
@@ -258,8 +257,7 @@ class TestEvolve:
         target = conj(1, 2)
         params = EvolutionParams(n=4, epsilon=0.1, t=0.0125, s=50, g=10,
                                  seed=5)
-        tr = evolve_conjunction(target, params,
-                                r0=ConjunctionRep(target, 4))
+        tr = evolve(target, ConjunctionClass(4), target, params)
         assert tr.succeeded
         assert tr.success_gen == 0
         assert len(tr.records) == 1
@@ -268,7 +266,7 @@ class TestEvolve:
         assert rec.exact_perf == 1.0
         assert rec.chose == "neutral"
         assert (rec.n_beneficial, rec.n_neutral) == (0, 1)
-        assert tr.final_rep.conj == target
+        assert tr.final_rep == target
         assert tr.perf_evals == 2  # initial estimate plus the confirmation
         assert tr.samples_drawn == 2 * params.s
         assert tr.params == params
@@ -277,8 +275,7 @@ class TestEvolve:
         target = conj(1, 2)
         params = EvolutionParams(n=4, epsilon=0.1, t=0.0125, s=50, g=0,
                                  seed=5)
-        tr = evolve_conjunction(target, params,
-                                r0=ConjunctionRep(target, 4))
+        tr = evolve(target, ConjunctionClass(4), target, params)
         assert tr.succeeded
         assert tr.success_gen == 0
         assert tr.records == ()
@@ -293,7 +290,7 @@ class TestEvolve:
         assert tr.records == ()
         assert tr.perf_evals == 1
         assert tr.samples_drawn == params.s
-        assert tr.final_rep.conj == conj()
+        assert tr.final_rep == conj()
 
     def test_loop_accounting_without_success(self):
         params = EvolutionParams(n=4, epsilon=0.1, t=0.1, s=10, g=3, seed=0)
@@ -313,8 +310,7 @@ class TestEvolve:
         params = EvolutionParams(n=6, epsilon=0.1, t=0.0125, s=1, g=720,
                                  seed=7)
         fit = CorrelationFitness(target, exact_mode=True)
-        r0 = ConjunctionRep(conj(), 6)
-        tr = evolve(r0, cls, target, params, fit)
+        tr = evolve(conj(), cls, target, params, fit)
         assert tr.succeeded
         assert tr.success_gen == 7
         perfs = [r.emp_perf for r in tr.records]
@@ -368,6 +364,26 @@ class TestCorrelationFitness:
         opaque = CorrelationFitness(OpaqueFunction(f))
         assert opaque.exact_value(conj(1, 2), 10) == 1.0
         assert opaque.exact_value(conj(1, 2), 40) is None
+
+    def test_exact_value_enumerates_once_per_candidate(self, monkeypatch):
+        import evoforge.boolfn as boolfn
+
+        tables = []
+        real = boolfn.truth_table
+
+        def counting(fn, n):
+            tables.append(fn)
+            return real(fn, n)
+
+        monkeypatch.setattr(boolfn, "truth_table", counting)
+        fit = CorrelationFitness(OpaqueFunction(conj(1, 2)))
+        first = fit.exact_value(conj(1), 6)
+        assert first == 0.5
+        assert len(tables) == 2  # one table per side of the one enumeration
+        assert fit.exact_value(conj(1), 6) == first
+        assert len(tables) == 2
+        fit.exact_value(conj(2), 6)
+        assert len(tables) == 4
 
     def test_estimate_counts_samples(self):
         fit = CorrelationFitness(conj(1))

@@ -180,6 +180,15 @@ class TestParity:
         assert len(table) == 1 + 6 + 15 + 20  # sizes 0..3 over 6 variables
         assert all(abs(row["exact_perf"]) <= 0.25 for row in table)
 
+    def test_cap_below_parity_size(self):
+        # the size cap bounds the evolved conjunction, not a parity target
+        report = run_parity(6, 4, 0.5, 2, 3, s=200, g=5, q=2)
+        assert report.params["q"] == 2
+        assert len(report.trials) == 2
+        assert report.trace_rows
+        assert all(row[2] == "true" or row[2].count("&") <= 1
+                   for row in report.trace_rows)
+
     def test_calibration_goldens(self):
         by_label = {c.label: c
                     for c in run_parity(6, 3, 0.5, 0, 0, s=10, g=1).golden_checks}

@@ -12,7 +12,7 @@ from evoforge.engine import (CorrelationFitness, EvalCounters,
 from evoforge.errors import ParameterError
 from evoforge.perf import Aggregator, SampleSpec, empirical_perf
 from evoforge.representations import (BestClauseFitness, ConjunctionClass,
-                                      ConjunctionRep, conj_mutation_weights,
+                                      conj_mutation_weights,
                                       conj_neighborhood, default_neigh_cap,
                                       evolve_conjunction, evolve_kdnf)
 from evoforge.rng import derive_seed
@@ -26,36 +26,18 @@ def dnf(*clauses):
     return MonotoneDnf(tuple(conj(*c) for c in clauses))
 
 
-def rep(q, *vars_):
-    return ConjunctionRep(conj(*vars_), q)
-
-
 def lit_sets(neighborhood):
-    return [r.conj.literals for r in neighborhood]
-
-
-class TestConjunctionRep:
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            ConjunctionRep(conj(1), 0)
-        with pytest.raises(ParameterError):
-            ConjunctionRep(conj(1, 2, 3), 2)
-        assert rep(2, 1, 2).q == 2
-
-    def test_frozen(self):
-        r = rep(3, 1)
-        with pytest.raises(AttributeError):
-            r.q = 5
+    return [r.literals for r in neighborhood]
 
 
 class TestNeighborhood:
     def test_empty_conjunction(self):
-        nb = conj_neighborhood(rep(3), 3)
+        nb = conj_neighborhood(conj(), 3, 3)
         assert lit_sets(nb) == [frozenset(), frozenset({1}), frozenset({2}),
                                 frozenset({3})]
 
     def test_singleton(self):
-        nb = conj_neighborhood(rep(2, 1), 2)
+        nb = conj_neighborhood(conj(1), 2, 2)
         assert lit_sets(nb) == [frozenset({1}), frozenset({1, 2}),
                                 frozenset(), frozenset({2})]
 
@@ -64,15 +46,15 @@ class TestNeighborhood:
         for n in range(1, 7):
             for k in range(n + 1):
                 for subset in combinations(range(1, n + 1), k):
-                    r = ConjunctionRep(conj(*subset), n)
-                    nb = conj_neighborhood(r, n)
+                    r = conj(*subset)
+                    nb = conj_neighborhood(r, n, n)
                     v = len(subset)
                     assert len(nb) == 1 + (n - v) + v + v * (n - v)
                     assert len(set(lit_sets(nb))) == len(nb)
                     assert nb[0] is r
 
     def test_cap_suppresses_additions(self):
-        nb = conj_neighborhood(rep(2, 1, 2), 4)
+        nb = conj_neighborhood(conj(1, 2), 4, 2)
         sets = lit_sets(nb)
         assert len(nb) == 1 + 0 + 2 + 2 * 2
         assert all(len(s) <= 2 for s in sets)
@@ -84,19 +66,18 @@ class TestNeighborhood:
     def test_single_edit_property(self, n_and_vars):
         n, vars_ = n_and_vars
         q = max(len(vars_), 1)
-        r = ConjunctionRep(conj(*vars_), q)
-        nb = conj_neighborhood(r, n)
+        r = conj(*vars_)
+        nb = conj_neighborhood(r, n, q)
         assert nb[0] == r
         for other in nb:
-            assert other.q == q
-            assert other.conj.size <= q
-            diff = other.conj.literals ^ r.conj.literals
+            assert other.size <= q
+            diff = other.literals ^ r.literals
             assert len(diff) <= 2
-            assert abs(other.conj.size - r.conj.size) <= 1
+            assert abs(other.size - r.size) <= 1
 
     def test_uniform_weights(self):
-        nb = conj_neighborhood(rep(4, 1, 3), 4)
-        w = conj_mutation_weights(rep(4, 1, 3), nb)
+        nb = conj_neighborhood(conj(1, 3), 4, 4)
+        w = conj_mutation_weights(conj(1, 3), nb)
         assert len(w) == len(nb)
         assert len(set(w)) == 1
         assert w[0] > 0
@@ -113,8 +94,8 @@ class TestDefaultNeighCap:
             cap = default_neigh_cap(n)
             for k in range(n + 1):
                 for subset in combinations(range(1, n + 1), k):
-                    r = ConjunctionRep(conj(*subset), n)
-                    assert len(conj_neighborhood(r, n)) <= cap
+                    r = conj(*subset)
+                    assert len(conj_neighborhood(r, n, n)) <= cap
 
 
 class TestConjunctionClass:
@@ -128,7 +109,15 @@ class TestConjunctionClass:
         assert ConjunctionClass(4).q == 4
 
     def test_function(self):
-        assert ConjunctionClass(3).function(rep(3, 1, 2)) == conj(1, 2)
+        r = conj(1, 2)
+        assert ConjunctionClass(3).function(r) is r
+
+    def test_neighborhood_capped_by_class_q(self):
+        # at the class's cap no addition appears, only removals and swaps
+        nb = ConjunctionClass(4, q=2).neighborhood(conj(1, 2), 0.1)
+        assert lit_sets(nb) == lit_sets(conj_neighborhood(conj(1, 2), 4, 2))
+        assert len(nb) == 1 + 0 + 2 + 2 * 2
+        assert all(r.size <= 2 for r in nb)
 
 
 class TestEvolveConjunction:
@@ -138,24 +127,21 @@ class TestEvolveConjunction:
         with pytest.raises(ParameterError, match="cap"):
             evolve_conjunction(conj(1, 2, 3), self.PARAMS, q=2)
 
-    def test_r0_cap_conflict(self):
-        with pytest.raises(ParameterError, match="cap"):
-            evolve_conjunction(conj(1), self.PARAMS, r0=rep(3), q=4)
-
     def test_target_outside_dimension(self):
         with pytest.raises(ParameterError, match="x7"):
             evolve_conjunction(conj(1, 7), self.PARAMS)
 
     def test_exact_mode_draws_no_samples(self):
-        tr = evolve_conjunction(conj(1, 2), self.PARAMS, use_exact=True)
+        fit = CorrelationFitness(conj(1, 2), exact_mode=True)
+        tr = evolve_conjunction(conj(1, 2), self.PARAMS, fitness=fit)
         assert tr.succeeded
         assert tr.samples_drawn == 0
-        assert tr.final_rep.conj == conj(1, 2)
+        assert tr.final_rep == conj(1, 2)
 
     def test_default_start_is_empty(self):
         params = replace(self.PARAMS, g=0)
         tr = evolve_conjunction(conj(1, 2), params)
-        assert tr.final_rep == rep(5)
+        assert tr.final_rep == conj()
 
 
 class TestBestClauseFitness:
@@ -272,5 +258,5 @@ class TestEvolveKdnf:
 
     def test_best_any_rejects_oversize_clause(self):
         target = dnf((1, 2, 3), (4,))
-        with pytest.raises(ParameterError, match="clause 0"):
+        with pytest.raises(ParameterError, match="cap"):
             evolve_kdnf(target, self.PARAMS, term_fitness="best_any", q=2)

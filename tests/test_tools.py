@@ -1,11 +1,14 @@
-"""The repository's tools outside the package, run against its current API.
+"""The repository's tools and docs outside the package, run against its
+current API.
 
 perfbench/tracer.py wraps package functions by name for the per-layer
-benchmark, and scripts/probe_landscape.py calls the engine directly;
-neither is imported by the package, so renaming or deleting a name they
-use would otherwise go unnoticed until they are run.
+benchmark, scripts/probe_landscape.py calls the engine directly, and the
+README shows a library example; none is imported by the package, so
+renaming or deleting a name they use would otherwise go unnoticed until
+they are run.
 """
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -67,3 +70,12 @@ def test_probe_landscape_runs(capsys):
     sampled = capsys.readouterr().out.splitlines()
     assert "mode=sampled (s=500)" in sampled[0]
     assert sampled[-1].startswith("perf evals ")
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out.strip()
