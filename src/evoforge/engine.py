@@ -140,15 +140,12 @@ class CorrelationFitness:
     estimate() is the sampled Monte-Carlo value unless exact_mode is set,
     in which case the exact expectation is used (diagnostic runs).
     exact_value() is the exact score, or None for a pair that exact_perf
-    could only enumerate and whose cube is too large for that.  It is
-    memoized per (fn, n), since neutral drift revisits incumbents and a
-    target with no closed form costs a full enumeration per call.
+    could only enumerate and whose cube is too large for that.
     """
 
     def __init__(self, target, exact_mode: bool = False):
         self.target = target
         self.exact_mode = exact_mode
-        self._exact: dict = {}
 
     def estimate(self, fn, n: int, s: int, seed: int,
                  counters: EvalCounters | None = None) -> float:
@@ -159,13 +156,10 @@ class CorrelationFitness:
         return empirical_perf(fn, self.target, n, SampleSpec(s, seed))
 
     def exact_value(self, fn, n: int) -> float | None:
-        key = (fn, n)
-        if key not in self._exact:
-            try:
-                self._exact[key] = float(exact_perf(fn, self.target, n))
-            except EnumerationBudgetError:
-                self._exact[key] = None
-        return self._exact[key]
+        try:
+            return float(exact_perf(fn, self.target, n))
+        except EnumerationBudgetError:
+            return None
 
 
 def classify_neighborhood(current_perf: float, neighbor_perfs: list[float],

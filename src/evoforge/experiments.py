@@ -397,7 +397,11 @@ def run_parity(n: int, parity_size: int, epsilon: float, trials: int,
 
 
 # Kept only because perfbench/tracer.py wraps this name; it goes when the
-# tracer's WRAPPED list shrinks (ROADMAP item 3).
+# tracer's WRAPPED list shrinks (ROADMAP item 3).  The alias is not inert
+# under the tracer: it replaces every module attribute that is the wrapped
+# function, so evolve_conjunction is wrapped twice and each conjunction run
+# is a nested span counted under both names.  No per-layer metric reads
+# either key.
 evolve_conjunction_vs = evolve_conjunction
 
 

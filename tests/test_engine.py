@@ -365,26 +365,6 @@ class TestCorrelationFitness:
         assert opaque.exact_value(conj(1, 2), 10) == 1.0
         assert opaque.exact_value(conj(1, 2), 40) is None
 
-    def test_exact_value_enumerates_once_per_candidate(self, monkeypatch):
-        import evoforge.boolfn as boolfn
-
-        tables = []
-        real = boolfn.truth_table
-
-        def counting(fn, n):
-            tables.append(fn)
-            return real(fn, n)
-
-        monkeypatch.setattr(boolfn, "truth_table", counting)
-        fit = CorrelationFitness(OpaqueFunction(conj(1, 2)))
-        first = fit.exact_value(conj(1), 6)
-        assert first == 0.5
-        assert len(tables) == 2  # one table per side of the one enumeration
-        assert fit.exact_value(conj(1), 6) == first
-        assert len(tables) == 2
-        fit.exact_value(conj(2), 6)
-        assert len(tables) == 4
-
     def test_estimate_counts_samples(self):
         fit = CorrelationFitness(conj(1))
         c = EvalCounters()
