@@ -3,12 +3,11 @@
 The kernel walks the counter stream of rng.sample_assignments and returns
 integer counts for a pair of predicates on each point: a conjunction and
 either a second conjunction or a parity.  Estimates are therefore exact
-functions of (seed, s) with no float accumulation, and the memory used is
-bounded by the block size, not by s: the numba loop keeps no buffer at
-all, the numpy fallback walks rng.sample_blocks with a few BLOCK-sized
-buffers per thread, kept across calls.  Both backends give identical
-counts; tests check each against a pure-Python reference built on
-rng.mix64.
+functions of (seed, s) with no float accumulation.  It is one numpy
+kernel that walks rng.sample_blocks with a few BLOCK-sized buffers per
+thread, kept across calls, so the memory used is bounded by the block
+size, not by s.  Tests check its counts against a pure-Python reference
+built on rng.mix64.
 """
 from __future__ import annotations
 
@@ -16,58 +15,10 @@ import threading
 
 import numpy as np
 
-from .rng import BLOCK, GAMMA, MIX_C1, MIX_C2, check_dim, sample_blocks
+from .rng import BLOCK, check_dim, sample_blocks
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # numba is an optional extra; numpy is the fallback
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap
-
-
-_G = np.uint64(GAMMA)
-_C1 = np.uint64(MIX_C1)
-_C2 = np.uint64(MIX_C2)
-
-
-@njit(cache=True)
-def _count_loop(seed, s, mask_a, mask_b, dim_mask, parity):  # pragma: no cover - jit
-    c = seed
-    c_both = 0
-    c_a = 0
-    c_b = 0
-    for _ in range(s):
-        c = c + _G
-        z = c
-        z = (z ^ (z >> np.uint64(30))) * _C1
-        z = (z ^ (z >> np.uint64(27))) * _C2
-        z = z ^ (z >> np.uint64(31))
-        x = z & dim_mask
-        a = (x & mask_a) == mask_a
-        if parity:
-            v = x & mask_b
-            v ^= v >> np.uint64(32)
-            v ^= v >> np.uint64(16)
-            v ^= v >> np.uint64(8)
-            v ^= v >> np.uint64(4)
-            v ^= v >> np.uint64(2)
-            v ^= v >> np.uint64(1)
-            b = (v & np.uint64(1)) == np.uint64(0)
-        else:
-            b = (x & mask_b) == mask_b
-        if a:
-            c_a += 1
-        if b:
-            c_b += 1
-        if a and b:
-            c_both += 1
-    return c_both, c_a, c_b
+# No numba backend; kept False because perfbench/worker.py reads the name.
+HAVE_NUMBA = False
 
 
 class _PredicateBuffers(threading.local):
@@ -84,7 +35,7 @@ _BUFFERS = _PredicateBuffers()
 
 def _count_blocks(seed: int, s: int, mask_a: int, mask_b: int, n: int,
                   parity: bool) -> tuple[int, int, int]:
-    """numpy form of _count_loop, one rng.sample_blocks block at a time."""
+    """(both true, a true, b true) over s points, one block at a time."""
     ma = np.uint64(mask_a)
     mb = np.uint64(mask_b)
     buf = _BUFFERS
@@ -108,23 +59,15 @@ def _count_blocks(seed: int, s: int, mask_a: int, mask_b: int, n: int,
     return c_both, c_a, c_b
 
 
-def _counts(seed: int, s: int, mask_a: int, mask_b: int, n: int,
-            parity: bool) -> tuple[int, int, int]:
-    check_dim(n)
-    if not HAVE_NUMBA:
-        return _count_blocks(seed, s, mask_a, mask_b, n, parity)
-    out = _count_loop(np.uint64(seed), s, np.uint64(mask_a), np.uint64(mask_b),
-                      np.uint64((1 << n) - 1), parity)
-    return int(out[0]), int(out[1]), int(out[2])
-
-
 def counts_conj_conj(seed: int, s: int, mask_r: int, mask_f: int,
                      n: int) -> tuple[int, int, int]:
     """(both true, r true, f true) over s drawn points for two conjunctions."""
-    return _counts(seed, s, mask_r, mask_f, n, parity=False)
+    check_dim(n)
+    return _count_blocks(seed, s, mask_r, mask_f, n, parity=False)
 
 
 def counts_conj_parity(seed: int, s: int, mask_c: int, mask_p: int,
                        n: int) -> tuple[int, int, int]:
     """(conj true and parity even, conj true, parity even) over s points."""
-    return _counts(seed, s, mask_c, mask_p, n, parity=True)
+    check_dim(n)
+    return _count_blocks(seed, s, mask_c, mask_p, n, parity=True)

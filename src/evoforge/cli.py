@@ -83,6 +83,8 @@ def experiment_kwargs(cfg: RunConfig) -> dict:
         if k is not None and k != target.k:
             raise ConfigError(f"k = {k} but target has {target.k} clause(s)")
         kwargs["target"] = target
+        if cfg.n is None:  # the default n grows to fit a configured target
+            kwargs["n"] = max(kwargs["n"], target.max_literal)
     return kwargs
 
 

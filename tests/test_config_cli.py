@@ -236,6 +236,16 @@ class TestExperimentKwargs:
         assert target in err
         assert not (tmp_path / "out").exists()
 
+    def test_default_n_fits_configured_target(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("experiment = structural_vs_functional\n"
+                        "target = x1&x2 | x9&x10\ntrials = 1\ns = 200\n"
+                        "g = 2\n")
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["params"]["n"] == 10
+
     def test_lone_clause_target_is_a_one_clause_dnf(self, tmp_path, capsys):
         cfg = parse_config("experiment = structural_vs_functional\n"
                            "target = x1&x2\nk = 1\n")

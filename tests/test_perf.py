@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evoforge._kernels import (_count_blocks, _count_loop, counts_conj_conj,
+from evoforge._kernels import (_count_blocks, counts_conj_conj,
                                counts_conj_parity)
 from evoforge.boolfn import (MonotoneConjunction, MonotoneDnf,
                              OutputConvention, ParityFunction,
@@ -118,15 +118,6 @@ def array_counts(seed, s, a, b, n):
             int(np.count_nonzero(tb)))
 
 
-def loop_counts(seed, s, a, b, n, parity):
-    # Without numba _count_loop is plain Python on numpy uint64 scalars,
-    # whose intended wraparound raises overflow warnings.
-    with np.errstate(over="ignore"):
-        out = _count_loop(np.uint64(seed), s, np.uint64(a.mask),
-                          np.uint64(b.mask), np.uint64((1 << n) - 1), parity)
-    return tuple(int(v) for v in out)
-
-
 class TestKernels:
     CASES = [
         (conj(1, 2), conj(2, 5), 8),
@@ -135,13 +126,11 @@ class TestKernels:
     ]
 
     @staticmethod
-    def check_backends(counts, a, b, n, seed, parity):
-        # The numba loop (or its Python body when numba is absent), the
-        # chunked numpy kernel and the dispatcher each against the
+    def check_kernel(counts, a, b, n, seed, parity):
+        # The chunked numpy kernel and its public wrapper against the
         # pure-Python reference; then across block boundaries against
         # counts over the whole sample array.
         want = reference_counts(seed, 4096, a, b, n)
-        assert loop_counts(seed, 4096, a, b, n, parity) == want
         assert _count_blocks(seed, 4096, a.mask, b.mask, n, parity) == want
         assert counts(seed, 4096, a.mask, b.mask, n) == want
         for s in (BLOCK - 1, BLOCK, BLOCK + 1):
@@ -149,21 +138,27 @@ class TestKernels:
             assert _count_blocks(seed, s, a.mask, b.mask, n, parity) == want
             assert counts(seed, s, a.mask, b.mask, n) == want
 
-    def test_conj_conj_jit_matches_numpy(self):
+    def test_conj_conj_kernel_matches_reference(self):
         for a, b, n in self.CASES:
             for seed in (0, 1, MASK64):
-                self.check_backends(counts_conj_conj, a, b, n, seed,
-                                    parity=False)
+                self.check_kernel(counts_conj_conj, a, b, n, seed,
+                                  parity=False)
 
-    def test_conj_parity_jit_matches_numpy(self):
+    def test_conj_parity_kernel_matches_reference(self):
         p = ParityFunction(frozenset({2, 4}))
-        # literals spread over 63 bits, so every fold of the xor reduction
-        # in the numba loop matters
+        # literals spread up to x63, the widest point the sampler draws
         wide = ParityFunction(frozenset({1, 2, 4, 8, 16, 32, 63}))
         for c, q, n in ((conj(1, 2), p, 8), (conj(), p, 8), (conj(5), wide, 63)):
             for seed in (0, 9, MASK64 - 5):
-                self.check_backends(counts_conj_parity, c, q, n, seed,
-                                    parity=True)
+                self.check_kernel(counts_conj_parity, c, q, n, seed,
+                                  parity=True)
+
+    @pytest.mark.parametrize("counts", [counts_conj_conj, counts_conj_parity])
+    @pytest.mark.parametrize("n", [0, 64])
+    @pytest.mark.parametrize("s", [0, 10])
+    def test_dimension_check(self, counts, n, s):
+        with pytest.raises(ParameterError, match="1..63"):
+            counts(1, s, 0b1, 0b10, n)
 
     def test_memory_does_not_grow_with_s(self):
         # 40 blocks of uint64 samples would be 10 MiB; the kernels keep a
@@ -172,7 +167,7 @@ class TestKernels:
         for r, f in ((conj(1, 2), conj(2, 5)),
                      (conj(1, 2), ParityFunction(frozenset({2, 4}))),
                      (CE_R, CE_F)):
-            # any jit compilation happens here, outside the trace
+            # a first, small call does any one-time set-up outside the trace
             empirical_perf(r, f, 8, SampleSpec(1, 3), SIGNED)
             tracemalloc.start()
             try:

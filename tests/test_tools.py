@@ -2,7 +2,8 @@
 current API.
 
 perfbench/tracer.py wraps package functions by name for the per-layer
-benchmark, scripts/probe_landscape.py calls the engine directly, and the
+benchmark, perfbench/worker.py reads the kernel backend's name,
+scripts/probe_landscape.py calls the engine directly, and the
 README shows a library example; none is imported by the package, so
 renaming or deleting a name they use would otherwise go unnoticed until
 they are run.
@@ -56,6 +57,20 @@ def test_tracer_installs_and_uninstalls():
     after = evoforge_state(tracer_mod.WRAPPED)
     assert after.keys() == before.keys()
     assert [k for k, v in before.items() if after[k] is not v] == []
+
+
+def test_benchmark_worker_environment():
+    # worker.py puts perfbench/ on sys.path and imports its inputs module
+    path, inputs = list(sys.path), sys.modules.get("inputs")
+    try:
+        worker = load("perfbench/worker.py")
+        assert worker.environment()["backend"] == "numpy"
+    finally:
+        sys.path[:] = path
+        if inputs is None:
+            sys.modules.pop("inputs", None)
+        else:
+            sys.modules["inputs"] = inputs
 
 
 def test_probe_landscape_runs(capsys):
