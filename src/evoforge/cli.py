@@ -13,37 +13,14 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import get_type_hints
 
-from .boolfn import (MonotoneConjunction, MonotoneDnf, OutputConvention,
-                     exact_perf)
-from .config import KNOWN_KEYS, RunConfig, parse_config
+from .boolfn import OutputConvention, exact_perf
+from .config import FORMATS, RunConfig, check_range, parse_config
 from .errors import (ConfigError, DimensionMismatchError,
                      EnumerationBudgetError, KMismatchError, ParameterError)
 from .experiments import REGISTRY, ExperimentReport
 from .funcspec import parse_function
 from .perf import SampleSpec, empirical_perf
-from .rng import MASK64
-
-# Defaults applied when a key is absent from a config.  An experiment
-# accepts the parameters of its run_* function, plus 'k' wherever it takes
-# a target; 'k' is checked against that target and consumed.
-_EXPERIMENT_DEFAULTS = {
-    "counterexample": {},
-    "conjunction_evolvability": {
-        "n": 10, "target_size": 3, "epsilon": 0.1, "trials": 50, "seed": 0},
-    "structural_vs_functional": {
-        "target": "x1&x4&x5 | x2&x4&x6 | x3&x7&x8", "n": 8, "epsilon": 0.1,
-        "trials": 50, "seed": 0},
-    "parity": {
-        "n": 10, "parity_size": 4, "epsilon": 0.5, "trials": 50, "seed": 0},
-    "redundancy_bias": {
-        "target": "x1&x2 | x1&x3", "n": 8, "epsilon": 0.1, "trials": 20,
-        "seed": 0},
-}
-
-# Config keys that cmd_run consumes instead of passing to the experiment.
-_CMD_RUN_KEYS = ("experiment", "out", "formats")
 
 _CSV_COLUMNS = ("trial", "generation", "representation", "emp_perf",
                 "exact_perf", "n_beneficial", "n_neutral", "chose")
@@ -54,38 +31,23 @@ def _fmt(v) -> str:
 
 
 def experiment_kwargs(cfg: RunConfig) -> dict:
-    """Turn a parsed config into keyword arguments for its experiment."""
+    """Turn a parsed config into keyword arguments for its experiment.
+
+    An experiment accepts the parameters of its run_* function, plus 'k'
+    wherever it takes a target; parse_config has checked 'k' against that
+    target, so it is dropped here.  An option the config leaves out takes
+    its run_* default.
+    """
     if cfg.experiment not in REGISTRY:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}; choose "
                           f"from {', '.join(sorted(REGISTRY))}")
     params = inspect.signature(REGISTRY[cfg.experiment]).parameters
-    accepted = set(params) | ({"k"} if "target" in params else set())
-    supplied = {key: getattr(cfg, key) for key in KNOWN_KEYS
-                if key not in _CMD_RUN_KEYS and getattr(cfg, key) is not None}
-    for key in supplied:
-        if key not in accepted:
+    for key in cfg.options:
+        if key not in params and not (key == "k" and "target" in params):
             raise ConfigError(
                 f"key {key!r} does not apply to experiment "
                 f"{cfg.experiment!r}")
-    kwargs = dict(_EXPERIMENT_DEFAULTS[cfg.experiment])
-    kwargs.update(supplied)
-    k = kwargs.pop("k", None)
-    if "target" in kwargs:
-        target = (cfg.target_fn if cfg.target_fn is not None
-                  else parse_function(kwargs["target"]))
-        want = get_type_hints(REGISTRY[cfg.experiment])["target"]
-        if want is MonotoneDnf and isinstance(target, MonotoneConjunction):
-            target = MonotoneDnf((target,))  # a lone clause
-        if not isinstance(target, want):
-            raise ConfigError(f"experiment {cfg.experiment!r} needs a "
-                              f"{want.__name__} target, got "
-                              f"{target.canonical()}")
-        if k is not None and k != target.k:
-            raise ConfigError(f"k = {k} but target has {target.k} clause(s)")
-        kwargs["target"] = target
-        if cfg.n is None:  # the default n grows to fit a configured target
-            kwargs["n"] = max(kwargs["n"], target.max_literal)
-    return kwargs
+    return {key: val for key, val in cfg.options.items() if key != "k"}
 
 
 def report_json_text(report: ExperimentReport) -> str:
@@ -139,7 +101,7 @@ def summary_text(report: ExperimentReport) -> str:
 
 
 def write_outputs(report: ExperimentReport, out_dir: Path,
-                  formats=("json", "csv", "txt")) -> list[Path]:
+                  formats=FORMATS) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     if "json" in formats:
@@ -169,14 +131,11 @@ def cmd_run(args) -> int:
         return 2
     try:
         cfg = parse_config(text)
-        if args.seed is not None:
-            if not 0 <= args.seed <= MASK64:
-                raise ConfigError(f"--seed must fit in 64 bits, got {args.seed}")
-            cfg.seed = args.seed
-        if args.trials is not None:
-            if args.trials < 0:
-                raise ConfigError(f"--trials must be >= 0, got {args.trials}")
-            cfg.trials = args.trials
+        for key in ("seed", "trials"):
+            val = getattr(args, key)
+            if val is not None:
+                check_range(key, val)
+                cfg.options[key] = val
         kwargs = experiment_kwargs(cfg)
         report = REGISTRY[cfg.experiment](**kwargs)
     except _CONFIG_ERRORS as exc:
@@ -207,8 +166,6 @@ def cmd_perf(args) -> int:
             raise ConfigError(f"--n must be >= 1, got {args.n}")
         conv = OutputConvention(args.conv)
         if args.samples is not None:
-            if args.seed is not None and not 0 <= args.seed <= MASK64:
-                raise ConfigError(f"--seed must fit in 64 bits, got {args.seed}")
             spec = SampleSpec(args.samples, args.seed or 0)
             val = empirical_perf(r, f, args.n, spec, conv)
             print(f"sampled perf ({conv.value}, s={spec.s}, seed={spec.seed}) "

@@ -9,17 +9,23 @@ Example:
     trials = 50
     seed = 7
 
-Unknown and duplicate keys are rejected with their line number, as are
-type and range violations.  Values never contain '#'.
+The keys are `experiment`, `out`, `formats`, `k` (a clause-count
+assertion on the target) and the parameters of the experiments' run_*
+functions, whose annotations give each value's type.  Unknown and
+duplicate keys are rejected with their line number, as are type and
+range violations.  Values never contain '#'.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import inspect
+from dataclasses import dataclass, field
+from enum import Enum
 from typing import get_args, get_type_hints
 
+from .boolfn import MonotoneConjunction, MonotoneDnf
 from .errors import ConfigError
+from .experiments import REGISTRY
 from .funcspec import parse_function
-from .perf import Aggregator
 from .rng import MASK64
 
 FORMATS = ("json", "csv", "txt")
@@ -27,48 +33,84 @@ FORMATS = ("json", "csv", "txt")
 
 @dataclass
 class RunConfig:
-    """Validated run configuration; None means "use the experiment default"."""
+    """A parsed config: the experiment, the options the file sets for it,
+    and where its outputs go.  An option left out takes its run_* default."""
 
     experiment: str
-    n: int | None = None
-    k: int | None = None
-    epsilon: float | None = None
-    target: str | None = None
-    target_fn: object = None
-    target_size: int | None = None
-    parity_size: int | None = None
-    aggregator: Aggregator | None = None
-    term_fitness: str | None = None
-    t: float | None = None
-    s: int | None = None
-    g: int | None = None
-    q: int | None = None
-    trials: int | None = None
-    seed: int | None = None
+    options: dict = field(default_factory=dict)
     out: str | None = None
     formats: tuple = FORMATS
 
 
-# Every field but target_fn, which is parsed from target, is a config key;
-# its annotation, less the None, gives the type its text converts to.
-_KEY_TYPES = {key: (get_args(hint) or (hint,))[0]
-              for key, hint in get_type_hints(RunConfig).items()
-              if key != "target_fn"}
-KNOWN_KEYS = tuple(_KEY_TYPES)
+def _key_types() -> dict:
+    """Each key's type: a run_* parameter's annotation, less the None of
+    an optional one."""
+    types = {"experiment": str, "out": str, "formats": str, "k": int}
+    for fn in REGISTRY.values():
+        hints = get_type_hints(fn)
+        del hints["return"]
+        for key, hint in hints.items():
+            args = get_args(hint)
+            types[key] = args[0] if type(None) in args else hint
+    return types
 
 
-def _convert(key: str, value: str, line: int):
-    if _KEY_TYPES[key] is int:
+_TYPES = _key_types()
+KNOWN_KEYS = tuple(_TYPES)
+
+
+def _convert(key: str, text: str, line: int):
+    kind = _TYPES[key]
+    if key == "formats":
+        parts = tuple(p.strip() for p in text.split(","))
+        bad = [p for p in parts if p not in FORMATS]
+        if bad:
+            raise ConfigError(f"unknown output format(s) {', '.join(bad)}; "
+                              f"choose from {', '.join(FORMATS)}", line)
+        return parts
+    if kind is str:
+        return text
+    if kind in (int, float):
         try:
-            return int(value)
+            return kind(text)
         except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {value!r}", line)
-    if _KEY_TYPES[key] is float:
+            noun = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{key} must be {noun}, got {text!r}", line)
+    if kind is MonotoneDnf:
         try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {value!r}", line)
-    return value
+            fn = parse_function(text)
+        except ConfigError as exc:
+            raise ConfigError(str(exc), line)
+        if isinstance(fn, MonotoneConjunction):
+            fn = MonotoneDnf((fn,))  # a lone clause
+        if not isinstance(fn, MonotoneDnf):
+            raise ConfigError(f"{key} must be a monotone DNF, got {text!r}",
+                              line)
+        return fn
+    # an Enum or a Literal of strings
+    is_enum = isinstance(kind, type) and issubclass(kind, Enum)
+    choices = [c.value for c in kind] if is_enum else list(get_args(kind))
+    if text not in choices:
+        raise ConfigError(f"unknown {key} {text!r}; choose from "
+                          f"{', '.join(choices[:-1])} or {choices[-1]}", line)
+    return kind(text) if is_enum else text
+
+
+def check_range(key: str, val, line: int | None = None) -> None:
+    """Raise ConfigError when val is outside the legal range of key."""
+    if key == "epsilon" and not 0 < val < 1:
+        msg = f"epsilon must be in (0,1), got {val}"
+    elif key == "t" and val <= 0:
+        msg = f"t must be > 0, got {val}"
+    elif key in ("n", "k", "s", "q") and val < 1:
+        msg = f"{key} must be >= 1, got {val}"
+    elif key in ("g", "trials", "target_size", "parity_size") and val < 0:
+        msg = f"{key} must be >= 0, got {val}"
+    elif key == "seed" and not 0 <= val <= MASK64:
+        msg = f"seed must fit in 64 bits, got {val}"
+    else:
+        return
+    raise ConfigError(msg, line)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -90,56 +132,24 @@ def parse_config(text: str) -> RunConfig:
         if not value:
             raise ConfigError(f"empty value for {key!r}", lineno)
         values[key] = _convert(key, value, lineno)
+        check_range(key, values[key], lineno)
         lines[key] = lineno
 
     if "experiment" not in values:
         raise ConfigError("missing required key 'experiment'")
-    cfg = RunConfig(experiment=values["experiment"])
+    cfg = RunConfig(values.pop("experiment"), out=values.pop("out", None),
+                    formats=values.pop("formats", FORMATS), options=values)
 
-    def fail(key, msg):
-        raise ConfigError(msg, lines[key])
-
-    for key, val in values.items():
-        if key == "experiment":
-            continue
-        if key == "epsilon" and not 0 < val < 1:
-            fail(key, f"epsilon must be in (0,1), got {val}")
-        if key == "t" and val <= 0:
-            fail(key, f"t must be > 0, got {val}")
-        if key in ("n", "k", "s", "q") and val < 1:
-            fail(key, f"{key} must be >= 1, got {val}")
-        if key in ("g", "trials", "target_size", "parity_size") and val < 0:
-            fail(key, f"{key} must be >= 0, got {val}")
-        if key == "seed" and not 0 <= val <= MASK64:
-            fail(key, f"seed must fit in 64 bits, got {val}")
-        if key == "aggregator":
-            try:
-                val = Aggregator(val)
-            except ValueError:
-                fail(key, f"unknown aggregator {val!r}; choose from "
-                          f"{', '.join(a.value for a in Aggregator)}")
-        if key == "term_fitness" and val not in ("paired", "best_any"):
-            fail(key, f"term_fitness must be paired or best_any, got {val!r}")
-        if key == "formats":
-            parts = tuple(p.strip() for p in val.split(","))
-            bad = [p for p in parts if p not in FORMATS]
-            if bad:
-                fail(key, f"unknown output format(s) {', '.join(bad)}; "
-                          f"choose from {', '.join(FORMATS)}")
-            val = parts
-        if key == "target":
-            try:
-                cfg.target_fn = parse_function(val)
-            except ConfigError as exc:
-                fail(key, str(exc))
-        setattr(cfg, key, val)
-
-    if cfg.target_fn is not None and cfg.n is not None:
-        top = cfg.target_fn.max_literal
-        if top > cfg.n:
-            fail("target", f"target references x{top} but n = {cfg.n}")
-    if cfg.k is not None and cfg.target_fn is not None:
-        k_actual = getattr(cfg.target_fn, "k", 1)
-        if k_actual != cfg.k:
-            fail("k", f"k = {cfg.k} but target has {k_actual} clause(s)")
+    # n and k are checked against the target the run will use: the
+    # configured one, else the experiment's default.
+    run = REGISTRY.get(cfg.experiment)
+    param = inspect.signature(run).parameters.get("target") if run else None
+    target = values.get("target", param.default if param else None)
+    if target is not None:
+        if "n" in values and target.max_literal > values["n"]:
+            raise ConfigError(f"target references x{target.max_literal} but "
+                              f"n = {values['n']}", lines["n"])
+        if "k" in values and values["k"] != target.k:
+            raise ConfigError(f"k = {values['k']} but target has {target.k} "
+                              "clause(s)", lines["k"])
     return cfg

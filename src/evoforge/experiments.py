@@ -20,8 +20,8 @@ from .boolfn import (MonotoneConjunction, MonotoneDnf, OutputConvention,
 from .engine import EvolutionTrace, default_params
 from .errors import ConfigError, ParameterError
 from .perf import Aggregator, gen_perf, term_perf_matrix
-from .representations import (default_neigh_cap, evolve_conjunction,
-                              evolve_kdnf)
+from .representations import (TermFitness, default_neigh_cap,
+                              evolve_conjunction, evolve_kdnf)
 from .rng import derive_seed, uniform_unit
 
 # The three-singleton hypothesis that tracks this target almost perfectly
@@ -37,6 +37,11 @@ COUNTEREXAMPLE_TARGET = MonotoneDnf((
     MonotoneConjunction(frozenset({3, 7, 8})),
 ))
 COUNTEREXAMPLE_N = 8
+# Two clauses sharing x1: the default target of run_redundancy_bias.
+REDUNDANCY_TARGET = MonotoneDnf((
+    MonotoneConjunction(frozenset({1, 2})),
+    MonotoneConjunction(frozenset({1, 3})),
+))
 
 
 @dataclass(frozen=True)
@@ -145,6 +150,12 @@ def _histogram(variables) -> dict:
     return {f"x{v}": c for v, c in sorted(Counter(variables).items())}
 
 
+def _dnf_n(n: int | None, target: MonotoneDnf) -> int:
+    """n, or by default the smallest cube of at least 8 variables that
+    holds target."""
+    return n if n is not None else max(8, target.max_literal)
+
+
 def _evolution_setup(n: int, epsilon: float, t: float | None, s: int | None,
                      g: int | None, q: int | None) -> tuple:
     """Stock params at seed 0, and the t/s/g/q/neigh_cap tail of a
@@ -211,10 +222,11 @@ def run_counterexample() -> ExperimentReport:
         trace_rows=[])
 
 
-def run_conjunction_evolvability(n: int, target_size: int, epsilon: float,
-                                 trials: int, seed: int,
-                                 t: float | None = None, s: int | None = None,
-                                 g: int | None = None, q: int | None = None,
+def run_conjunction_evolvability(n: int = 10, target_size: int = 3,
+                                 epsilon: float = 0.1, trials: int = 50,
+                                 seed: int = 0, t: float | None = None,
+                                 s: int | None = None, g: int | None = None,
+                                 q: int | None = None,
                                  ) -> ExperimentReport:
     """Success rate of conjunction evolution against random targets."""
     if not 0 <= target_size <= n:
@@ -260,9 +272,10 @@ def run_conjunction_evolvability(n: int, target_size: int, epsilon: float,
         trace_rows=rows)
 
 
-def run_structural_vs_functional(target: MonotoneDnf, epsilon: float,
-                                 trials: int, seed: int, n: int | None = None,
-                                 term_fitness: str = "best_any",
+def run_structural_vs_functional(target: MonotoneDnf = COUNTEREXAMPLE_TARGET,
+                                 epsilon: float = 0.1, trials: int = 50,
+                                 seed: int = 0, n: int | None = None,
+                                 term_fitness: TermFitness = "best_any",
                                  aggregator: Aggregator = Aggregator.MATCHED_MIN,
                                  t: float | None = None, s: int | None = None,
                                  g: int | None = None, q: int | None = None,
@@ -273,12 +286,17 @@ def run_structural_vs_functional(target: MonotoneDnf, epsilon: float,
     default, then reports global signed performance next to the min, max,
     mean, median, and matched-min of the clause-vs-clause matrix.  The
     headline check: mean max strictly above mean min, i.e. looking
-    functionally close while being structurally off.  aggregator is only
-    recorded in the report's params.
+    functionally close while being structurally off, so the target needs
+    at least two clauses.  aggregator is only recorded in the report's
+    params.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    n_eff = n if n is not None else max(target.max_literal, 1)
+    if target.k < 2:
+        raise ParameterError(
+            "structural_vs_functional needs a target of >= 2 clauses, as its "
+            f"max-above-min check compares clauses; got {target.canonical()}")
+    n_eff = _dnf_n(n, target)
     params0, tail = _evolution_setup(n_eff, epsilon, t, s, g, q)
 
     def one(i: int):
@@ -315,9 +333,10 @@ def run_structural_vs_functional(target: MonotoneDnf, epsilon: float,
         trace_rows=rows)
 
 
-def run_parity(n: int, parity_size: int, epsilon: float, trials: int,
-               seed: int, t: float | None = None, s: int | None = None,
-               g: int | None = None, q: int | None = None) -> ExperimentReport:
+def run_parity(n: int = 10, parity_size: int = 4, epsilon: float = 0.5,
+               trials: int = 50, seed: int = 0, t: float | None = None,
+               s: int | None = None, g: int | None = None,
+               q: int | None = None) -> ExperimentReport:
     """Evolution against a parity target, plus the flat-landscape table.
 
     The conjunction evolver is pointed at the parity of the first
@@ -418,8 +437,9 @@ def _disjoint_control(target: MonotoneDnf, n: int) -> MonotoneDnf | None:
     return MonotoneDnf(tuple(clauses))
 
 
-def run_redundancy_bias(target: MonotoneDnf, epsilon: float, trials: int,
-                        seed: int, n: int | None = None,
+def run_redundancy_bias(target: MonotoneDnf = REDUNDANCY_TARGET,
+                        epsilon: float = 0.1, trials: int = 20, seed: int = 0,
+                        n: int | None = None,
                         t: float | None = None, s: int | None = None,
                         g: int | None = None, q: int | None = None,
                         ) -> ExperimentReport:
@@ -440,7 +460,7 @@ def run_redundancy_bias(target: MonotoneDnf, epsilon: float, trials: int,
         raise ConfigError(
             "redundancy target needs >= 2 clauses sharing a literal; "
             f"got {target.canonical()}")
-    n_eff = n if n is not None else max(target.max_literal, 1)
+    n_eff = _dnf_n(n, target)
     params0, tail = _evolution_setup(n_eff, epsilon, t, s, g, q)
     control = _disjoint_control(target, n_eff)
 

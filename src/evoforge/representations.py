@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Literal, get_args
 
 from .boolfn import MonotoneConjunction, MonotoneDnf, conj_perf_closed_form
 from .engine import (CorrelationFitness, EvalCounters, EvolutionParams,
@@ -16,6 +17,10 @@ from .errors import ParameterError
 from .perf import (Aggregator, PerfMatrix, SampleSpec, empirical_perf,
                    gen_perf, term_perf_matrix)
 from .rng import derive_seed
+
+# How evolve_kdnf scores term i: against target clause i alone, or against
+# whichever target clause it matches best.
+TermFitness = Literal["paired", "best_any"]
 
 
 def conj_neighborhood(r: MonotoneConjunction, n: int,
@@ -150,7 +155,7 @@ class KdnfResult:
 
 
 def evolve_kdnf(target: MonotoneDnf, params: EvolutionParams, *,
-                term_fitness: str = "paired",
+                term_fitness: TermFitness = "paired",
                 q: int | None = None) -> KdnfResult:
     """Evolve each clause of target separately, then recombine.
 
@@ -161,7 +166,7 @@ def evolve_kdnf(target: MonotoneDnf, params: EvolutionParams, *,
     redundancy-bias variant).  The exact clause-vs-clause matrix of the
     combined result is evaluated under every aggregator.
     """
-    if term_fitness not in ("paired", "best_any"):
+    if term_fitness not in get_args(TermFitness):
         raise ParameterError(f"unknown term fitness mode: {term_fitness!r}")
     traces = []
     for i, clause in enumerate(target.clauses):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from typing import get_args, get_type_hints
 
 import pytest
 
@@ -12,9 +13,9 @@ from evoforge.cli import (_fmt, experiment_kwargs, main, report_json_text,
 from evoforge.config import KNOWN_KEYS, parse_config
 from evoforge.engine import EvolutionParams
 from evoforge.errors import ConfigError
-from evoforge.experiments import (REGISTRY, ExperimentReport,
-                                  _trace_rows, golden_check,
-                                  run_counterexample)
+from evoforge.experiments import (COUNTEREXAMPLE_TARGET, REGISTRY,
+                                  ExperimentReport, _trace_rows,
+                                  golden_check, run_counterexample)
 from evoforge.funcspec import (parse_conjunction, parse_dnf, parse_function,
                                parse_parity)
 from evoforge.perf import Aggregator, SampleSpec, empirical_perf
@@ -73,7 +74,7 @@ class TestParseConfig:
         cfg = parse_config("experiment = counterexample\n")
         assert cfg.experiment == "counterexample"
         assert cfg.formats == ("json", "csv", "txt")
-        assert cfg.trials is None
+        assert cfg.options == {}
 
     def test_full(self):
         cfg = parse_config("""
@@ -94,11 +95,11 @@ term_fitness = paired
 out = results
 formats = json, txt
 """)
-        assert cfg.n == 8
-        assert cfg.k == 3
-        assert isinstance(cfg.target_fn, MonotoneDnf)
-        assert cfg.aggregator is Aggregator.MATCHED_MIN
-        assert cfg.term_fitness == "paired"
+        assert cfg.options["n"] == 8
+        assert cfg.options["k"] == 3
+        assert isinstance(cfg.options["target"], MonotoneDnf)
+        assert cfg.options["aggregator"] is Aggregator.MATCHED_MIN
+        assert cfg.options["term_fitness"] == "paired"
         assert cfg.formats == ("json", "txt")
         assert cfg.out == "results"
 
@@ -141,11 +142,50 @@ class TestExperimentKwargs:
         with pytest.raises(ConfigError, match="does not apply"):
             experiment_kwargs(cfg)
 
-    def test_defaults_fill(self):
-        cfg = parse_config("experiment = conjunction_evolvability\n")
-        assert experiment_kwargs(cfg) == {
-            "n": 10, "target_size": 3, "epsilon": 0.1, "trials": 50,
-            "seed": 0}
+    # The stock values each experiment runs with when its config sets
+    # nothing; the run_* signatures declare them.
+    DEFAULTS = {
+        "counterexample": {
+            "n": 8, "target": "x1&x4&x5 | x2&x4&x6 | x3&x7&x8"},
+        "conjunction_evolvability": {
+            "n": 10, "target_size": 3, "epsilon": 0.1, "seed": 0, "q": 10},
+        "structural_vs_functional": {
+            "n": 8, "target": "x1&x4&x5 | x2&x4&x6 | x3&x7&x8",
+            "epsilon": 0.1, "seed": 0, "term_fitness": "best_any",
+            "aggregator": "matched_min", "q": 8},
+        "parity": {
+            "n": 10, "parity_size": 4, "epsilon": 0.5, "seed": 0,
+            "target": "parity(x1,x2,x3,x4)", "q": 10},
+        "redundancy_bias": {
+            "n": 8, "target": "x1&x2 | x1&x3", "epsilon": 0.1, "seed": 0,
+            "q": 8},
+    }
+
+    @pytest.mark.parametrize("experiment", sorted(DEFAULTS))
+    def test_effective_defaults(self, tmp_path, capsys, experiment):
+        text = f"experiment = {experiment}\n"
+        if experiment != "counterexample":
+            text += "trials = 1\ns = 100\ng = 1\n"
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) in (0, 1)
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        want = self.DEFAULTS[experiment]
+        assert {key: report["params"][key] for key in want} == want
+
+    def test_shared_parameters_have_one_type(self):
+        # the config converts a key by its annotation, less the None of an
+        # optional parameter, so a name shared by several run_* functions
+        # must convert to one type in all of them
+        types = {}
+        for fn in REGISTRY.values():
+            for key, hint in get_type_hints(fn).items():
+                args = get_args(hint)
+                types.setdefault(key, set()).add(
+                    args[0] if type(None) in args else hint)
+        assert {key: kinds for key, kinds in types.items()
+                if len(kinds) > 1} == {}
 
     def test_overrides_win(self):
         cfg = parse_config(
@@ -155,10 +195,14 @@ class TestExperimentKwargs:
         assert kwargs["s"] == 100
 
     def test_target_is_parsed(self):
+        cfg = parse_config("experiment = structural_vs_functional\n"
+                           "target = x1&x4&x5 | x2&x4&x6 | x3&x7&x8\n")
+        assert experiment_kwargs(cfg)["target"] == COUNTEREXAMPLE_TARGET
+        cfg = parse_config("experiment = structural_vs_functional\n"
+                           "target = x1&x2\nk = 1\n")
+        assert experiment_kwargs(cfg)["target"] == MonotoneDnf((conj(1, 2),))
         cfg = parse_config("experiment = structural_vs_functional\n")
-        kwargs = experiment_kwargs(cfg)
-        assert isinstance(kwargs["target"], MonotoneDnf)
-        assert kwargs["target"].k == 3
+        assert "target" not in experiment_kwargs(cfg)  # the run_* default
 
     def test_k_is_consumed_at_parse_time(self):
         cfg = parse_config(
@@ -176,8 +220,8 @@ class TestExperimentKwargs:
                 "trials = 1\ns = 200\ng = 2\n")
         message = f"k = {k} but target has {clauses} clause(s)"
         with pytest.raises(ConfigError) as exc:
-            experiment_kwargs(parse_config(text))
-        assert str(exc.value) == message
+            parse_config(text)
+        assert str(exc.value) == f"line 2: {message}"
         path = tmp_path / "run.cfg"
         path.write_text(text)
         assert main(["run", "--config", str(path),
@@ -209,10 +253,9 @@ class TestExperimentKwargs:
                                                  "formats"}
         accepted = set()
         for key, value in values.items():
-            cfg = parse_config(f"experiment = {experiment}\n"
-                               f"{key} = {value}\n")
             try:
-                experiment_kwargs(cfg)
+                experiment_kwargs(parse_config(f"experiment = {experiment}\n"
+                                               f"{key} = {value}\n"))
             except ConfigError as exc:
                 if "does not apply" in str(exc):
                     continue
@@ -246,22 +289,16 @@ class TestExperimentKwargs:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["params"]["n"] == 10
 
-    def test_lone_clause_target_is_a_one_clause_dnf(self, tmp_path, capsys):
-        cfg = parse_config("experiment = structural_vs_functional\n"
-                           "target = x1&x2\nk = 1\n")
-        assert experiment_kwargs(cfg)["target"] == MonotoneDnf((conj(1, 2),))
+    def test_lone_clause_target_exits_2(self, tmp_path, capsys):
+        # a 1-clause matrix has max = min, so the max-above-min check of
+        # structural_vs_functional could never pass
         path = tmp_path / "run.cfg"
         path.write_text("experiment = structural_vs_functional\n"
                         "target = x1&x2\ntrials = 1\ns = 200\ng = 2\n")
-        # With one clause the matrix is 1x1, so its max equals its min and
-        # the strict max-above-min check fails: exit 1, outputs written.
         assert main(["run", "--config", str(path),
-                     "--out", str(tmp_path / "out")]) == 1
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["params"]["target"] == "x1&x2"
-        assert report["trials"][0]["result"].count("|") == 0
-        assert ("golden check failures: mean_max_strictly_above_mean_min"
-                in capsys.readouterr().err)
+                     "--out", str(tmp_path / "out")]) == 2
+        assert ">= 2 clauses" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def failing_report():
@@ -469,6 +506,11 @@ class TestCmdPerf:
     def test_bad_n_exits_2(self, capsys):
         assert main(["perf", "--r", "x1", "--f", "x1", "--n", "0"]) == 2
         assert "--n" in capsys.readouterr().err
+
+    def test_bad_seed_exits_2(self, capsys):
+        assert main(["perf", "--r", "x1", "--f", "x1", "--n", "4",
+                     "--samples", "10", "--seed", "-1"]) == 2
+        assert "64 bits" in capsys.readouterr().err
 
     def test_exact_and_samples_conflict(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from evoforge.boolfn import MonotoneConjunction, MonotoneDnf
+from evoforge.engine import EvolutionParams
 from evoforge.errors import ConfigError, ParameterError
 from evoforge.experiments import (COUNTEREXAMPLE_HYPOTHESIS,
                                   COUNTEREXAMPLE_N, COUNTEREXAMPLE_TARGET,
@@ -12,6 +13,8 @@ from evoforge.experiments import (COUNTEREXAMPLE_HYPOTHESIS,
                                   run_counterexample, run_parity,
                                   run_redundancy_bias,
                                   run_structural_vs_functional)
+from evoforge.perf import Aggregator, gen_perf
+from evoforge.representations import evolve_kdnf
 
 AGG_KEYS = ("min", "max", "mean", "median", "matched_min")
 
@@ -126,18 +129,15 @@ class TestConjunctionEvolvability:
 
 
 class TestStructuralVsFunctional:
-    def test_single_clause_degenerates(self):
-        # a 1x1 matrix makes every aggregator agree and the dispersion
-        # check report not-strict
-        report = run_structural_vs_functional(dnf((1, 2)), 0.2, 2, 0, n=5,
-                                              s=2000, g=40)
-        for trial in report.trials:
-            vals = {trial[f"gen_perf_{k}"] for k in AGG_KEYS}
-            assert len(vals) == 1
-        assert report.golden_checks[0].label == \
-            "mean_max_strictly_above_mean_min"
-        assert report.golden_checks[0].actual == 0.0
-        assert not report.all_golden_pass
+    def test_single_clause_target_rejected(self):
+        # a 1x1 matrix makes every aggregator agree, so the max-above-min
+        # check could never pass: such a run is refused up front
+        params = EvolutionParams(n=5, epsilon=0.2, t=0.025, s=500, g=30,
+                                 seed=0)
+        res = evolve_kdnf(dnf((1, 2)), params, term_fitness="best_any")
+        assert len({gen_perf(res.matrix, agg) for agg in Aggregator}) == 1
+        with pytest.raises(ParameterError, match=">= 2 clauses"):
+            run_structural_vs_functional(dnf((1, 2)), 0.2, 2, 0, n=5)
 
     def test_counterexample_target_disperses(self):
         report = run_structural_vs_functional(COUNTEREXAMPLE_TARGET, 0.1, 2,

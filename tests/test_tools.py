@@ -4,14 +4,16 @@ current API.
 perfbench/tracer.py wraps package functions by name for the per-layer
 benchmark, perfbench/worker.py reads the kernel backend's name,
 scripts/probe_landscape.py calls the engine directly, and the
-README shows a library example; none is imported by the package, so
-renaming or deleting a name they use would otherwise go unnoticed until
-they are run.
+README shows a library example and a table of the config keys; none is
+imported by the package, so renaming or deleting a name they use would
+otherwise go unnoticed until they are run.
 """
 import importlib.util
 import re
 import sys
 from pathlib import Path
+
+from evoforge.config import KNOWN_KEYS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -85,6 +87,15 @@ def test_probe_landscape_runs(capsys):
     sampled = capsys.readouterr().out.splitlines()
     assert "mode=sampled (s=500)" in sampled[0]
     assert sampled[-1].startswith("perf evals ")
+
+
+def test_readme_config_table_lists_every_key():
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("| key | meaning |\n| --- | --- |\n", 1)[1]
+    rows = table.split("\n\n", 1)[0].splitlines()
+    keys = [key for row in rows
+            for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(KNOWN_KEYS)
 
 
 def test_readme_library_example_runs(capsys):
