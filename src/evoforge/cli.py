@@ -165,8 +165,10 @@ def cmd_perf(args) -> int:
         if args.n < 1:
             raise ConfigError(f"--n must be >= 1, got {args.n}")
         conv = OutputConvention(args.conv)
+        seed = args.seed or 0
+        check_range("seed", seed)  # in exact mode too, where it goes unused
         if args.samples is not None:
-            spec = SampleSpec(args.samples, args.seed or 0)
+            spec = SampleSpec(args.samples, seed)
             val = empirical_perf(r, f, args.n, spec, conv)
             print(f"sampled perf ({conv.value}, s={spec.s}, seed={spec.seed}) "
                   f"= {_fmt(val)}")

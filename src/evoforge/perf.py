@@ -30,6 +30,8 @@ class SampleSpec:
     def __post_init__(self):
         if self.s < 1:
             raise ParameterError(f"sample count must be >= 1, got {self.s}")
+        if self.s >= 1 << 63:  # the compiled kernel takes s as an int64
+            raise ParameterError(f"sample count must be < 2^63, got {self.s}")
         if not 0 <= self.seed <= MASK64:
             raise ParameterError("seed must fit in 64 bits")
 

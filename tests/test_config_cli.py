@@ -511,6 +511,10 @@ class TestCmdPerf:
         assert main(["perf", "--r", "x1", "--f", "x1", "--n", "4",
                      "--samples", "10", "--seed", "-1"]) == 2
         assert "64 bits" in capsys.readouterr().err
+        # exact mode draws nothing, but still rejects the seed
+        assert main(["perf", "--r", "x1", "--f", "x1", "--n", "4",
+                     "--seed", "-1"]) == 2
+        assert "64 bits" in capsys.readouterr().err
 
     def test_exact_and_samples_conflict(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,13 @@
+import json
 import math
+import os
+import shutil
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from importlib import resources
 from itertools import permutations
 
 import numpy as np
@@ -10,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evoforge import _kernels
 from evoforge._kernels import (_count_blocks, counts_conj_conj,
                                counts_conj_parity)
 from evoforge.boolfn import (MonotoneConjunction, MonotoneDnf,
@@ -37,6 +43,19 @@ def dnf(*clauses):
 CE_R = dnf((1,), (2,), (3,))
 CE_F = dnf((1, 4, 5), (2, 4, 6), (3, 7, 8))
 
+# The count loops to check: numpy always, the compiled one wherever it
+# loaded (TestBackend fails where a C compiler is found and it did not).
+KERNELS = {"numpy": _count_blocks}
+if _kernels.BACKEND == "c":
+    KERNELS["c"] = _kernels._count_compiled
+
+
+def each_backend(monkeypatch):
+    """Select each backend of KERNELS in turn, as _kernels.BACKEND."""
+    for name in KERNELS:
+        monkeypatch.setattr(_kernels, "BACKEND", name)
+        yield name
+
 
 class TestSampleSpec:
     def test_validation(self):
@@ -46,7 +65,11 @@ class TestSampleSpec:
             SampleSpec(10, -1)
         with pytest.raises(ParameterError):
             SampleSpec(10, MASK64 + 1)
+        # the compiled kernel takes s as an int64, which ctypes would wrap
+        with pytest.raises(ParameterError, match="must be < 2\\^63"):
+            SampleSpec(1 << 63, 0)
         SampleSpec(1, MASK64)
+        SampleSpec((1 << 63) - 1, 0)
 
 
 class TestEmpiricalPerf:
@@ -123,35 +146,40 @@ class TestKernels:
         (conj(1, 2), conj(2, 5), 8),
         (conj(), conj(3), 6),
         (conj(1, 2, 3, 4), conj(1, 2, 3, 4), 10),
+        (conj(), conj(1), 1),
+        (conj(1, 63), conj(31, 32, 63), 63),
     ]
 
     @staticmethod
-    def check_kernel(counts, a, b, n, seed, parity):
-        # The chunked numpy kernel and its public wrapper against the
-        # pure-Python reference; then across block boundaries against
-        # counts over the whole sample array.
-        want = reference_counts(seed, 4096, a, b, n)
-        assert _count_blocks(seed, 4096, a.mask, b.mask, n, parity) == want
-        assert counts(seed, 4096, a.mask, b.mask, n) == want
-        for s in (BLOCK - 1, BLOCK, BLOCK + 1):
-            want = array_counts(seed, s, a, b, n)
-            assert _count_blocks(seed, s, a.mask, b.mask, n, parity) == want
-            assert counts(seed, s, a.mask, b.mask, n) == want
+    def check_kernel(monkeypatch, counts, a, b, n, seed, parity):
+        # Each count loop, and the public wrapper on each backend, against
+        # the pure-Python reference; then at and across block boundaries
+        # against counts over the whole sample array.
+        for s in (1, 4096, BLOCK - 1, BLOCK, BLOCK + 1):
+            want = (reference_counts(seed, s, a, b, n) if s <= 4096
+                    else array_counts(seed, s, a, b, n))
+            for kernel in KERNELS.values():
+                assert kernel(seed, s, a.mask, b.mask, n, parity) == want
+            for _ in each_backend(monkeypatch):
+                assert counts(seed, s, a.mask, b.mask, n) == want
 
-    def test_conj_conj_kernel_matches_reference(self):
+    def test_conj_conj_kernel_matches_reference(self, monkeypatch):
         for a, b, n in self.CASES:
-            for seed in (0, 1, MASK64):
-                self.check_kernel(counts_conj_conj, a, b, n, seed,
-                                  parity=False)
+            # MASK64 - 5: the counter wraps around 2^64 within the stream
+            for seed in (0, 1, MASK64 - 5, MASK64):
+                self.check_kernel(monkeypatch, counts_conj_conj, a, b, n,
+                                  seed, parity=False)
 
-    def test_conj_parity_kernel_matches_reference(self):
+    def test_conj_parity_kernel_matches_reference(self, monkeypatch):
         p = ParityFunction(frozenset({2, 4}))
         # literals spread up to x63, the widest point the sampler draws
         wide = ParityFunction(frozenset({1, 2, 4, 8, 16, 32, 63}))
-        for c, q, n in ((conj(1, 2), p, 8), (conj(), p, 8), (conj(5), wide, 63)):
+        for c, q, n in ((conj(1, 2), p, 8), (conj(), p, 8),
+                        (conj(1), ParityFunction(frozenset({1})), 1),
+                        (conj(5), wide, 63)):
             for seed in (0, 9, MASK64 - 5):
-                self.check_kernel(counts_conj_parity, c, q, n, seed,
-                                  parity=True)
+                self.check_kernel(monkeypatch, counts_conj_parity, c, q, n,
+                                  seed, parity=True)
 
     @pytest.mark.parametrize("counts", [counts_conj_conj, counts_conj_parity])
     @pytest.mark.parametrize("n", [0, 64])
@@ -160,46 +188,146 @@ class TestKernels:
         with pytest.raises(ParameterError, match="1..63"):
             counts(1, s, 0b1, 0b10, n)
 
-    def test_memory_does_not_grow_with_s(self):
+    def test_memory_does_not_grow_with_s(self, monkeypatch):
         # 40 blocks of uint64 samples would be 10 MiB; the kernels keep a
         # few block-sized buffers whatever s is.
         s = 40 * BLOCK
-        for r, f in ((conj(1, 2), conj(2, 5)),
-                     (conj(1, 2), ParityFunction(frozenset({2, 4}))),
-                     (CE_R, CE_F)):
-            # a first, small call does any one-time set-up outside the trace
-            empirical_perf(r, f, 8, SampleSpec(1, 3), SIGNED)
-            tracemalloc.start()
-            try:
-                empirical_perf(r, f, 8, SampleSpec(s, 3), SIGNED)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 64 * BLOCK
+        pairs = ((conj(1, 2), conj(2, 5)),
+                 (conj(1, 2), ParityFunction(frozenset({2, 4}))),
+                 (CE_R, CE_F))
+        for _ in each_backend(monkeypatch):
+            for r, f in pairs:
+                # a first, small call does any one-time set-up untraced
+                empirical_perf(r, f, 8, SampleSpec(1, 3), SIGNED)
+                tracemalloc.start()
+                try:
+                    empirical_perf(r, f, 8, SampleSpec(s, 3), SIGNED)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 64 * BLOCK
 
-    def test_threads_get_their_own_buffers(self):
+    def test_threads_get_their_own_buffers(self, monkeypatch):
         # more threads than cores and a short switch interval, so that
-        # shared block buffers would be overwritten mid-estimate
+        # shared block buffers (numpy) or a shared out array (the compiled
+        # loop) would be overwritten mid-estimate
         jobs = [(seed, 4 * BLOCK + seed) for seed in range(64)]
         c, p = conj(1, 2), ParityFunction(frozenset({2, 4}))
 
         def run(job):
             return counts_conj_parity(job[0], job[1], c.mask, p.mask, 10)
 
-        want = [run(job) for job in jobs]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(4) as pool:
-                got = list(pool.map(run, jobs, timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == want
+        want = [_count_blocks(*job, c.mask, p.mask, 10, True) for job in jobs]
+        for _ in each_backend(monkeypatch):
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(4) as pool:
+                    got = list(pool.map(run, jobs, timeout=60))
+            finally:
+                sys.setswitchinterval(interval)
+            assert got == want
 
     def test_counts_are_consistent(self):
         both, cr, cf = counts_conj_conj(5, 1000, conj(1).mask,
                                         conj(1, 2).mask, 4)
         assert 0 <= both <= min(cr, cf) <= max(cr, cf) <= 1000
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PROBE = """
+import json
+from evoforge import _kernels
+cases = [(0, 5000, 0b11, 0b110, 8, False), (2**64 - 6, 5000, 0b1, 0b101, 8, True)]
+print(json.dumps([_kernels.BACKEND] + [
+    (_kernels.counts_conj_parity if c[5] else _kernels.counts_conj_conj)(*c[:5])
+    for c in cases]))
+"""
+
+
+def probe_backend(env):
+    """BACKEND of a fresh `import evoforge` under env, whose counts must
+    equal _count_blocks'."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src"), **env}
+    out = subprocess.run([sys.executable, "-c", PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    backend, *counts = json.loads(out)
+    want = [list(_count_blocks(0, 5000, 0b11, 0b110, 8, False)),
+            list(_count_blocks(MASK64 - 5, 5000, 0b1, 0b101, 8, True))]
+    assert counts == want
+    return backend
+
+
+def compiler():
+    """The compiler the loader would use, resolved, or None."""
+    found = shutil.which(os.environ.get("CC") or "cc")
+    return found and os.path.realpath(found)
+
+
+class TestBackend:
+    @pytest.mark.skipif("CC" in os.environ or shutil.which("cc") is None,
+                        reason="no cc on PATH, or CC names another compiler")
+    def test_cc_on_path_gives_the_compiled_backend(self):
+        # otherwise every check of "both backends" above checks numpy alone
+        assert _kernels.BACKEND == "c"
+
+    def test_count_source_ships_as_package_data(self, tmp_path, monkeypatch):
+        source = resources.files("evoforge").joinpath("_count.c")
+        assert source.is_file()
+        assert b"void count(" in source.read_bytes()
+        # the loader compiles what the package resource holds
+        if _kernels.BACKEND != "c":
+            pytest.skip("the compiled backend did not load here")
+        fake = tmp_path / "pkg"
+        fake.mkdir()
+        (fake / "_count.c").write_text(
+            "#include <stdint.h>\n"
+            "void count(uint64_t seed, int64_t s, uint64_t a, uint64_t b,\n"
+            "           int n, int parity, int64_t out[3])\n"
+            "{ out[0] = 7; out[1] = 8; out[2] = 9; }\n")
+        monkeypatch.setattr(_kernels.resources, "files", lambda pkg: fake)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(_kernels, "_count_c", _kernels._load_compiled())
+        # and the public wrappers run it
+        assert counts_conj_conj(1, 10, 1, 2, 4) == (7, 8, 9)
+        assert counts_conj_parity(1, 10, 1, 2, 4) == (7, 8, 9)
+
+    def test_cache_hit_reloads_the_same_library(self, tmp_path):
+        if _kernels.BACKEND != "c":
+            pytest.skip("the compiled backend did not load here")
+        env = {"XDG_CACHE_HOME": str(tmp_path)}
+        assert probe_backend(env) == "c"
+        built = list((tmp_path / "evoforge").iterdir())
+        assert [p.suffix for p in built] == [".so"]
+        stamp = built[0].stat().st_mtime_ns
+        assert probe_backend(env) == "c"
+        assert list((tmp_path / "evoforge").iterdir()) == built
+        assert built[0].stat().st_mtime_ns == stamp
+
+    @pytest.mark.parametrize("case", ["compiler_fails", "cache_unwritable",
+                                      "library_corrupt"])
+    def test_fallback_to_numpy(self, tmp_path, monkeypatch, case):
+        cache = tmp_path / "cache"
+        env = {"XDG_CACHE_HOME": str(cache)}
+        if case == "compiler_fails":
+            env["CC"] = "/bin/false"
+        elif case == "cache_unwritable":
+            # a regular file where the cache directory would go: writes
+            # fail even for root, whom a read-only mode does not stop
+            cache.write_bytes(b"")
+        else:
+            if compiler() is None:
+                pytest.skip("no compiler, so no cached library to corrupt")
+            monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+            source = resources.files("evoforge").joinpath("_count.c")
+            path = _kernels._library_path(source.read_bytes(), compiler())
+            os.makedirs(os.path.dirname(path))
+            with open(path, "wb") as f:  # an ELF header cut short
+                f.write(b"\x7fELF\x02\x01\x01" + bytes(57))
+        assert probe_backend(env) == "numpy"
+        if case == "compiler_fails":
+            # the failed build leaves no temporary file behind
+            assert list((cache / "evoforge").iterdir()) == []
 
 
 class TestPerfMatrix:
