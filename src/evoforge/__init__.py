@@ -8,8 +8,7 @@ sampled performance measures with clause-vs-clause matrices, and seeded
 experiment drivers with golden-value self-checks.
 """
 from .boolfn import (MonotoneConjunction, MonotoneDnf, OutputConvention,
-                     ParityFunction, conj_perf_closed_form, exact_perf,
-                     truth_table)
+                     ParityFunction, exact_perf, truth_table)
 from .engine import (CorrelationFitness, EvalCounters, EvolutionParams,
                      EvolutionTrace, GenerationRecord, RepresentationClass,
                      classify_neighborhood, default_params, evolve)
@@ -38,10 +37,10 @@ __all__ = [
     "MonotoneConjunction", "MonotoneDnf", "OutputConvention",
     "ParameterError", "ParityFunction", "PerfMatrix", "REGISTRY",
     "RepresentationClass", "SampleSpec", "classify_neighborhood",
-    "conj_mutation_weights", "conj_neighborhood", "conj_perf_closed_form",
-    "default_neigh_cap", "default_params", "empirical_perf", "evolve",
-    "evolve_conjunction", "evolve_kdnf", "exact_perf", "gen_perf",
-    "matched_min", "run_conjunction_evolvability", "run_counterexample",
-    "run_parity", "run_redundancy_bias", "run_structural_vs_functional",
+    "conj_mutation_weights", "conj_neighborhood", "default_neigh_cap",
+    "default_params", "empirical_perf", "evolve", "evolve_conjunction",
+    "evolve_kdnf", "exact_perf", "gen_perf", "matched_min",
+    "run_conjunction_evolvability", "run_counterexample", "run_parity",
+    "run_redundancy_bias", "run_structural_vs_functional",
     "term_perf_matrix", "truth_table",
 ]

@@ -1,13 +1,12 @@
-"""Boolean functions on the n-cube and exact correlation oracles.
+"""Boolean functions on the n-cube and the exact correlation oracle.
 
 Functions are monotone conjunctions (AND of unnegated variables,
 identified with their variable sets), monotone DNFs (OR of such
-conjunctions), and parities; any object with a vectorized `truth_batch`
-over packed points and a `max_literal` can stand in for one.  Variables
-are 1-based; a point of {0,1}^n is bit-packed with bit i-1 holding the
-value of x_i.  Correlations are
-expectations of output products under the uniform distribution, computed
-exactly as rationals with denominator 2^n.
+conjunctions), and parities; no other type is accepted.  Variables are
+1-based; a point of {0,1}^n is bit-packed with bit i-1 holding the value
+of x_i.  Correlations are expectations of output products under the
+uniform distribution, computed exactly as rationals.  They depend on n
+only through the highest variable either function mentions.
 """
 from __future__ import annotations
 
@@ -159,6 +158,9 @@ def truth_table(fn, n: int) -> np.ndarray:
 
 
 def _check_dim(fn, n: int) -> None:
+    if not isinstance(fn, (MonotoneConjunction, MonotoneDnf, ParityFunction)):
+        raise ParameterError("expected a conjunction, monotone DNF or parity, "
+                             f"got {type(fn).__name__}")
     top = fn.max_literal
     if top > n:
         raise DimensionMismatchError(f"function uses x{top} but n={n}")
@@ -174,13 +176,11 @@ def _ie_terms(fn, budget: int) -> dict[int, int] | None:
     """Inclusion-exclusion form of a conjunction or monotone DNF.
 
     Returns {mask: k} with [fn(x)] = sum of k * [x covers mask], merging
-    equal masks, so |fn| = sum of k * 2^(n - |mask|).  None when fn is of
-    another type or needs more than `budget` terms.
+    equal masks, so |fn| = sum of k * 2^(n - |mask|).  None when fn needs
+    more than `budget` terms.
     """
     if isinstance(fn, MonotoneConjunction):
         return {fn.mask: 1}
-    if not isinstance(fn, MonotoneDnf):
-        return None
     terms: dict[int, int] = {}
     for c in fn.clauses:
         # [A or c] = [A] + [c] - [A and c]
@@ -219,8 +219,8 @@ def _both_parity(terms: dict[int, int], parity: int, n: int) -> int:
 def _closed_counts(r, f, n: int) -> tuple[int, int, int] | None:
     """(|r|, |f|, |r and f|) over the 2^n points without enumerating.
 
-    None for a pair the closed form does not cover cheaply: a function of
-    another type, or DNFs whose expansions are too large.
+    None for DNFs whose expansions are too large to cost less than
+    enumerating the cube.
     """
     budget = min(1 << n, IE_MAX_STEPS)
     if isinstance(r, ParityFunction) and isinstance(f, ParityFunction):
@@ -248,23 +248,24 @@ def exact_perf(r, f, n: int,
                convention: OutputConvention = OutputConvention.SIGNED) -> Fraction:
     """Exact expected output product of r and f on uniform {0,1}^n.
 
-    Returns the exact rational (denominator 2^n).  Only the three counts
-    |r|, |f|, |r AND f| matter:
+    r and f are conjunctions, monotone DNFs or parities; any other type
+    raises ParameterError, and a variable beyond n raises
+    DimensionMismatchError.  Variables neither function mentions do not
+    change the value, so the counts |r|, |f|, |r AND f| are taken on the
+    m-cube, m = max(r.max_literal, f.max_literal, 1):
 
-        SIGNED:  (4*c_both - 2*c_r - 2*c_f + 2^n) / 2^n
-        BINARY:  c_both / 2^n
+        SIGNED:  (4*c_both - 2*c_r - 2*c_f + 2^m) / 2^m
+        BINARY:  c_both / 2^m
 
-    Conjunctions, monotone DNFs and parities get the counts in closed
-    form, by inclusion-exclusion over clause unions, at any n.  Other
-    function types, and DNF pairs whose expansions outgrow the cube, are
-    enumerated: those raise EnumerationBudgetError above n=24.  Raises
-    DimensionMismatchError if either function mentions a variable
-    beyond n.
+    The counts come in closed form, by inclusion-exclusion over clause
+    unions.  Only DNF pairs whose expansions outgrow the m-cube are
+    enumerated, and those raise EnumerationBudgetError when m > 24.
     """
     if n < 1:
         raise DimensionMismatchError(f"dimension must be positive, got {n}")
     _check_dim(r, n)
     _check_dim(f, n)
+    n = max(r.max_literal, f.max_literal, 1)
     counts = _closed_counts(r, f, n)
     if counts is None:
         tr = truth_table(r, n)
@@ -278,29 +279,10 @@ def exact_perf(r, f, n: int,
     return Fraction(c_both, total)
 
 
+# Kept only because perfbench/tracer.py wraps this name.  Like
+# experiments.evolve_conjunction_vs, it goes with ROADMAP item 1's tracer
+# change.
 def conj_perf_closed_form(a: MonotoneConjunction, b: MonotoneConjunction,
                           convention: OutputConvention = OutputConvention.SIGNED,
                           ) -> Fraction:
-    """Correlation of two monotone conjunctions without enumeration.
-
-    For nonempty A, B under SIGNED:
-
-        1 - 2^(1-|A|) - 2^(1-|B|) + 2^(2-|A union B|)
-
-    Empty conjunctions are the constant-true function: two empties give 1,
-    one empty against size m gives 2^(1-m) - 1.  BINARY is the probability
-    both are true, 2^(-|A union B|).  Independent of the ambient dimension.
-    """
-    union = len(a.literals | b.literals)
-    if convention is OutputConvention.BINARY:
-        return Fraction(1, 1 << union)
-    if not a.literals and not b.literals:
-        return Fraction(1)
-    if not a.literals:
-        return Fraction(2, 1 << b.size) - 1
-    if not b.literals:
-        return Fraction(2, 1 << a.size) - 1
-    return (Fraction(1)
-            - Fraction(2, 1 << a.size)
-            - Fraction(2, 1 << b.size)
-            + Fraction(4, 1 << union))
+    return exact_perf(a, b, max(a.max_literal, b.max_literal, 1), convention)

@@ -139,8 +139,9 @@ class CorrelationFitness:
 
     estimate() is the sampled Monte-Carlo value unless exact_mode is set,
     in which case the exact expectation is used (diagnostic runs).
-    exact_value() is the exact score, or None for a pair that exact_perf
-    could only enumerate and whose cube is too large for that.
+    exact_value() is the exact score, or None for the pairs exact_perf
+    refuses: DNFs whose expansions outgrow the cube of their highest
+    variable, when that variable is past x24.
     """
 
     def __init__(self, target, exact_mode: bool = False):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .boolfn import (MonotoneConjunction, MonotoneDnf, OutputConvention,
-                     ParityFunction, conj_perf_closed_form, exact_perf)
+                     ParityFunction, exact_perf)
 from .engine import EvolutionTrace, default_params
 from .errors import ConfigError, ParameterError
 from .perf import Aggregator, gen_perf, term_perf_matrix
@@ -248,8 +248,8 @@ def run_conjunction_evolvability(n: int = 10, target_size: int = 3,
             "succeeded": trace.succeeded,
             "success_gen": trace.success_gen,
             "final": trace.final_rep.canonical(),
-            "final_exact_perf": float(conj_perf_closed_form(
-                trace.final_rep, target, OutputConvention.SIGNED)),
+            "final_exact_perf": float(exact_perf(
+                trace.final_rep, target, n, OutputConvention.SIGNED)),
             "perf_evals": trace.perf_evals,
             "samples_drawn": trace.samples_drawn,
         }, [trace]
@@ -416,7 +416,7 @@ def run_parity(n: int = 10, parity_size: int = 4, epsilon: float = 0.5,
 
 
 # Kept only because perfbench/tracer.py wraps this name; it goes when the
-# tracer's WRAPPED list shrinks (ROADMAP item 3).  The alias is not inert
+# tracer's WRAPPED list shrinks (ROADMAP item 1).  The alias is not inert
 # under the tracer: it replaces every module attribute that is the wrapped
 # function, so evolve_conjunction is wrapped twice and each conjunction run
 # is a nested span counted under both names.  No per-layer metric reads
@@ -465,7 +465,7 @@ def run_redundancy_bias(target: MonotoneDnf = REDUNDANCY_TARGET,
     control = _disjoint_control(target, n_eff)
 
     def nearest_clause(conj: MonotoneConjunction, tgt: MonotoneDnf) -> int:
-        vals = [conj_perf_closed_form(conj, c, OutputConvention.SIGNED)
+        vals = [exact_perf(conj, c, n_eff, OutputConvention.SIGNED)
                 for c in tgt.clauses]
         return max(range(len(vals)), key=lambda i: (vals[i], -i))
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import _kernels
 from .boolfn import (MonotoneConjunction, MonotoneDnf, OutputConvention,
-                     ParityFunction, _check_dim, conj_perf_closed_form)
-from .errors import DimensionMismatchError, KMismatchError, ParameterError
+                     ParityFunction, _check_dim, exact_perf)
+from .errors import KMismatchError, ParameterError
 from .rng import MASK64, sample_blocks
 
 
@@ -122,14 +122,11 @@ def term_perf_matrix(r: MonotoneDnf, f: MonotoneDnf, n: int,
                      convention: OutputConvention = OutputConvention.SIGNED,
                      ) -> PerfMatrix:
     """Exact clause-by-clause performance matrix of hypothesis r against
-    target f, from the closed form (entries are Fractions)."""
+    target f, from exact_perf (entries are Fractions)."""
     if r.k != f.k:
         raise KMismatchError(f"clause counts differ: {r.k} vs {f.k}")
-    top = max(r.max_literal, f.max_literal)
-    if top > n:
-        raise DimensionMismatchError(f"clauses use x{top} but n={n}")
     return PerfMatrix(
-        entries=tuple(tuple(conj_perf_closed_form(rj, fi, convention)
+        entries=tuple(tuple(exact_perf(rj, fi, n, convention)
                             for rj in r.clauses) for fi in f.clauses),
         convention=convention)
 

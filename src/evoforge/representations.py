@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Literal, get_args
 
-from .boolfn import MonotoneConjunction, MonotoneDnf, conj_perf_closed_form
+from .boolfn import MonotoneConjunction, MonotoneDnf, exact_perf
 from .engine import (CorrelationFitness, EvalCounters, EvolutionParams,
                      EvolutionTrace, RepresentationClass, evolve)
 from .errors import ParameterError
@@ -97,7 +97,7 @@ def evolve_conjunction(target, params: EvolutionParams, *,
                        fitness=None) -> EvolutionTrace:
     """Evolve a monotone conjunction from the empty one toward target.
 
-    target is any function the correlation oracles accept.  q bounds the
+    target is a conjunction, monotone DNF or parity.  q bounds the
     clause size (default: n, effectively uncapped); a conjunction target
     must fit under it.  fitness defaults to sampled signed correlation
     with target; CorrelationFitness(target, exact_mode=True) uses exact
@@ -137,11 +137,8 @@ class BestClauseFitness:
             empirical_perf(fn, clause, n, SampleSpec(s, derive_seed(seed, i)))
             for i, clause in enumerate(self.target.clauses))
 
-    def exact_value(self, fn, n: int) -> float | None:
-        if not isinstance(fn, MonotoneConjunction):
-            return None
-        return float(max(conj_perf_closed_form(fn, c)
-                         for c in self.target.clauses))
+    def exact_value(self, fn, n: int) -> float:
+        return float(max(exact_perf(fn, c, n) for c in self.target.clauses))
 
 
 @dataclass(frozen=True)

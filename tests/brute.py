@@ -2,8 +2,7 @@
 
 exact_perf computes its counts in closed form; brute_perf counts the
 same three sets point by point on the truth tables, so tests can compare
-two implementations.  OpaqueFunction hides a function's type from
-exact_perf, which then has to enumerate.
+two implementations.
 """
 from fractions import Fraction
 
@@ -24,13 +23,3 @@ def brute_perf(r, f, n: int, conv: OutputConvention) -> Fraction:
         return Fraction(4 * c_both - 2 * c_r - 2 * c_f + total, total)
     return Fraction(c_both, total)
 
-
-class OpaqueFunction:
-    """A function exact_perf has no closed form for: it can only enumerate."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.max_literal = fn.max_literal
-
-    def truth_batch(self, xs):
-        return self.fn.truth_batch(xs)

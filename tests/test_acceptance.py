@@ -12,8 +12,7 @@ from fractions import Fraction
 
 from brute import brute_perf
 from evoforge.boolfn import (MonotoneConjunction, MonotoneDnf,
-                             OutputConvention, conj_perf_closed_form,
-                             exact_perf)
+                             OutputConvention, exact_perf)
 from evoforge.cli import main
 from evoforge.engine import default_params
 from evoforge.experiments import (COUNTEREXAMPLE_HYPOTHESIS,
@@ -61,7 +60,7 @@ def test_criterion_2_closed_form_matches_enumeration():
         a = conj(*rng.sample(range(1, n + 1), rng.randint(0, 4)))
         b = conj(*rng.sample(range(1, n + 1), rng.randint(0, 4)))
         for conv in OutputConvention:
-            closed = conj_perf_closed_form(a, b, conv)
+            closed = exact_perf(a, b, n, conv)
             brute = brute_perf(a, b, n, conv)
             assert closed == brute
             worst = max(worst, abs(float(closed) - float(brute)))
@@ -71,7 +70,7 @@ def test_criterion_2_closed_form_matches_enumeration():
         (conj(), conj(1, 2), Fraction(-1, 2)),
     ]
     for a, b, expected in worked:
-        assert conj_perf_closed_form(a, b, SIGNED) == expected
+        assert exact_perf(a, b, 12, SIGNED) == expected
     elapsed = time.monotonic() - start
     ok = worst <= 1e-12 and elapsed < 5.0
     report_line(2, ok, f"200 random pairs + 3 worked examples, "

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import OpaqueFunction, brute_perf
+from brute import brute_perf
 from evoforge import boolfn
 from evoforge.boolfn import (MonotoneConjunction, MonotoneDnf,
                              OutputConvention, ParityFunction,
@@ -166,13 +166,25 @@ class TestExactPerf:
         assert exact_perf(f, f, 8, BINARY) == Fraction(81, 256)
         assert exact_perf(r, f, 40, SIGNED) == Fraction(-30, 256)
 
-    def test_symmetry_and_budget(self):
-        # closed forms have no enumeration budget; other types still do
+    @given(a=st.sets(st.integers(1, 12), max_size=4).map(frozenset),
+           b=st.sets(st.integers(1, 12), max_size=4).map(frozenset))
+    def test_conjunctions_match_enumeration(self, a, b):
+        ca, cb = MonotoneConjunction(a), MonotoneConjunction(b)
+        for conv in (SIGNED, BINARY):
+            want = brute_perf(ca, cb, 12, conv)
+            assert exact_perf(ca, cb, 12, conv) == want
+            assert exact_perf(ca, cb, 30, conv) == want
+
+    def test_symmetry_and_budget(self, monkeypatch):
+        # the value does not depend on n; only a DNF pair whose expansions
+        # outgrow the cube enumerates, and past x24 it is refused
         r, f = conj(1, 2), conj(2, 3)
         assert exact_perf(r, f, 5, SIGNED) == exact_perf(f, r, 5, SIGNED)
         assert exact_perf(r, f, 25, SIGNED) == exact_perf(r, f, 5, SIGNED)
+        monkeypatch.setattr(boolfn, "IE_MAX_STEPS", 4)
         with pytest.raises(EnumerationBudgetError):
-            exact_perf(r, OpaqueFunction(f), 25, SIGNED)
+            exact_perf(dnf((1,), (2,), (25,)), dnf((1, 4), (2, 5), (3, 6)),
+                       25, SIGNED)
 
     @settings(max_examples=300)
     @given(data=st.data())
@@ -180,25 +192,41 @@ class TestExactPerf:
         n = data.draw(st.integers(1, 12))
         r = data.draw(cube_functions(n))
         f = data.draw(cube_functions(n))
+        d = data.draw(st.integers(0, 40))
         for conv in (SIGNED, BINARY):
             assert exact_perf(r, f, n, conv) == brute_perf(r, f, n, conv)
             assert exact_perf(f, r, n, conv) == brute_perf(f, r, n, conv)
+            assert exact_perf(r, f, n, conv) == exact_perf(r, f, n + d, conv)
 
     def test_large_expansions_enumerate(self, monkeypatch):
-        # past the step cap, DNF pairs fall back to enumeration
+        # past the step cap, DNF pairs fall back to enumeration, on the
+        # cube of their highest variable whatever n is
         monkeypatch.setattr(boolfn, "IE_MAX_STEPS", 4)
         r = dnf((1,), (2,), (3,))
         f = dnf((1, 4, 5), (2, 4, 6), (3, 7, 8))
         assert exact_perf(r, f, 8, SIGNED) == brute_perf(r, f, 8, SIGNED)
+        assert exact_perf(r, f, 25, SIGNED) == brute_perf(r, f, 8, SIGNED)
         assert exact_perf(r, ParityFunction({1, 2}), 8, SIGNED) \
             == brute_perf(r, ParityFunction({1, 2}), 8, SIGNED)
         with pytest.raises(EnumerationBudgetError):
-            exact_perf(r, f, 25, SIGNED)
+            exact_perf(r, dnf((1, 4, 5), (2, 4, 6), (3, 7, 25)), 25, SIGNED)
 
-    def test_other_types_enumerate(self):
-        r, f = dnf((1, 2), (3,)), ParityFunction({2, 3})
-        assert exact_perf(OpaqueFunction(r), f, 6, SIGNED) \
-            == exact_perf(r, f, 6, SIGNED)
+    def test_other_types_refused(self):
+        class Opaque:
+            """The old duck type: a truth_batch and a max_literal."""
+
+            max_literal = 3
+
+            def truth_batch(self, xs):
+                return ParityFunction({2, 3}).truth_batch(xs)
+
+        fn = dnf((1, 2), (3,))
+        for other in (Opaque(), frozenset({1, 2}), "x1&x2"):
+            for r, f in ((other, fn), (fn, other)):
+                with pytest.raises(ParameterError):
+                    exact_perf(r, f, 6, SIGNED)
+                with pytest.raises(ParameterError):
+                    empirical_perf(r, f, 6, SampleSpec(10, 0))
 
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
@@ -221,6 +249,8 @@ class TestExactPerf:
 
 
 class TestClosedForm:
+    # conj_perf_closed_form is only a name kept for exact_perf; the worked
+    # examples hold for both, at any ambient n
     WORKED = [
         (conj(1), conj(1), Fraction(1)),
         (conj(1), conj(2), Fraction(0)),
@@ -234,18 +264,16 @@ class TestClosedForm:
     def test_worked_examples(self):
         for a, b, want in self.WORKED:
             assert conj_perf_closed_form(a, b, SIGNED) == want
+            for n in (5, 40):
+                assert exact_perf(a, b, n, SIGNED) == want
 
     def test_binary_form(self):
-        assert conj_perf_closed_form(conj(1), conj(2), BINARY) == Fraction(1, 4)
-        assert conj_perf_closed_form(conj(), conj(), BINARY) == Fraction(1)
-        assert conj_perf_closed_form(conj(1, 2), conj(1, 2), BINARY) == Fraction(1, 4)
-
-    @given(a=st.sets(st.integers(1, 12), max_size=4).map(frozenset),
-           b=st.sets(st.integers(1, 12), max_size=4).map(frozenset))
-    def test_matches_enumeration(self, a, b):
-        ca, cb = MonotoneConjunction(a), MonotoneConjunction(b)
-        for conv in (SIGNED, BINARY):
-            assert conj_perf_closed_form(ca, cb, conv) == brute_perf(ca, cb, 12, conv)
+        for a, b, want in ((conj(1), conj(2), Fraction(1, 4)),
+                           (conj(), conj(), Fraction(1)),
+                           (conj(1, 2), conj(1, 2), Fraction(1, 4))):
+            assert conj_perf_closed_form(a, b, BINARY) == want
+            for n in (5, 40):
+                assert exact_perf(a, b, n, BINARY) == want
 
     def test_ambient_n_free(self):
         a, b = conj(1, 2), conj(2, 5)
@@ -254,7 +282,10 @@ class TestClosedForm:
 
     def test_symmetric(self):
         for a, b, _ in self.WORKED:
-            assert conj_perf_closed_form(a, b, SIGNED) == conj_perf_closed_form(b, a, SIGNED)
+            assert conj_perf_closed_form(a, b, SIGNED) \
+                == conj_perf_closed_form(b, a, SIGNED)
+            for n in (5, 40):
+                assert exact_perf(a, b, n, SIGNED) == exact_perf(b, a, n, SIGNED)
 
 
 def test_all_size_le3_conjunctions_orthogonal_to_size4_parity():

@@ -5,7 +5,7 @@ from typing import get_args, get_type_hints
 
 import pytest
 
-from brute import OpaqueFunction
+from evoforge import boolfn
 from evoforge.boolfn import (MonotoneConjunction, MonotoneDnf,
                              ParityFunction)
 from evoforge.cli import (_fmt, experiment_kwargs, main, report_json_text,
@@ -330,13 +330,15 @@ class TestOutputText:
         assert lines[1] == "0,0,true,0.10000000000000001,,1,2,neutral"
         assert lines[2] == "0,1,x1&x2,-0.5,-0.5,0,3,beneficial"
 
-    def test_exact_column_empty_above_enumeration_limit(self):
-        # a target type with no closed form can only be enumerated, and
-        # n = 25 is past the enumeration limit, so the trace carries no
-        # exact column
-        params = EvolutionParams(n=25, epsilon=0.5, t=0.1, s=100, g=2, seed=0)
-        trace = evolve_conjunction(
-            OpaqueFunction(ParityFunction(frozenset({1, 2, 3}))), params)
+    def test_exact_column_empty_above_enumeration_limit(self, monkeypatch):
+        # past the step cap this DNF target can only be enumerated, and it
+        # mentions variables past the enumeration limit, so the trace
+        # carries no exact column
+        monkeypatch.setattr(boolfn, "IE_MAX_STEPS", 4)
+        target = MonotoneDnf(MonotoneConjunction(frozenset(c))
+                             for c in ({1}, {2}, {25}, {26}))
+        params = EvolutionParams(n=26, epsilon=0.5, t=0.1, s=100, g=2, seed=0)
+        trace = evolve_conjunction(target, params)
         assert trace.records
         assert all(rec.exact_perf is None for rec in trace.records)
         report = ExperimentReport(
@@ -484,9 +486,20 @@ class TestCmdPerf:
         assert "exact perf (binary, n=8) = 0.31640625 [81/256]" in out
 
     def test_exact_at_any_n(self, capsys):
-        assert main(["perf"] + self.CE[:-1] + ["40"]) == 0
-        out = capsys.readouterr().out
-        assert "exact perf (signed, n=40) = -0.1171875 [-15/128]" in out
+        for n in ("40", "1000000000000"):
+            assert main(["perf"] + self.CE[:-1] + [n]) == 0
+            out = capsys.readouterr().out
+            assert f"exact perf (signed, n={n}) = -0.1171875 [-15/128]" in out
+
+    def test_exact_cost_does_not_grow_with_n(self, capsys):
+        # the counts are taken on the cube of the highest variable used,
+        # so n = 10^12 costs what n = 3 costs
+        query = ["perf", "--r", "x1&x2", "--f", "x2 | x3", "--n"]
+        assert main(query + ["3"]) == 0
+        small = capsys.readouterr().out
+        assert main(query + ["1000000000000"]) == 0
+        huge = capsys.readouterr().out
+        assert small.split(" = ")[1] == huge.split(" = ")[1]
 
     def test_sampled(self, capsys):
         assert main(["perf"] + self.CE + ["--samples", "1000",

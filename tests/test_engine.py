@@ -3,8 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from brute import OpaqueFunction
-from evoforge.boolfn import MonotoneConjunction
+from evoforge import boolfn
+from evoforge.boolfn import MonotoneConjunction, MonotoneDnf
 from evoforge.engine import (CorrelationFitness, EvalCounters,
                              EvolutionParams, RepresentationClass,
                              classify_neighborhood, default_params, evolve)
@@ -354,16 +354,20 @@ class TestCorrelationFitness:
         fit = CorrelationFitness(conj(1, 2, 3))
         assert fit.exact_value(conj(1, 2), 6) == 0.75
 
-    def test_exact_value_large_n_is_none(self):
-        # None only where exact_perf would have to enumerate a large cube
-        from evoforge.boolfn import MonotoneDnf
+    def test_exact_value_large_n_is_none(self, monkeypatch):
+        # None only where exact_perf would have to enumerate a cube past
+        # x24: a large n alone does not make it enumerate
         f = MonotoneDnf((conj(1, 2),))
         fit = CorrelationFitness(f)
         assert fit.exact_value(f, 40) == 1.0
         assert fit.exact_value(f, 10) == 1.0
-        opaque = CorrelationFitness(OpaqueFunction(f))
-        assert opaque.exact_value(conj(1, 2), 10) == 1.0
-        assert opaque.exact_value(conj(1, 2), 40) is None
+        monkeypatch.setattr(boolfn, "IE_MAX_STEPS", 4)
+        small = CorrelationFitness(MonotoneDnf((conj(1), conj(2), conj(3))))
+        assert small.exact_value(conj(1, 2), 40) == -0.25
+        wide = CorrelationFitness(
+            MonotoneDnf((conj(1), conj(2), conj(25), conj(26))))
+        assert wide.exact_value(conj(1, 2), 26) is None
+        assert wide.exact_value(conj(1, 2), 40) is None
 
     def test_estimate_counts_samples(self):
         fit = CorrelationFitness(conj(1))

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from brute import brute_perf
 from evoforge.boolfn import (MonotoneConjunction, MonotoneDnf,
-                             conj_perf_closed_form)
+                             OutputConvention)
 from evoforge.engine import (CorrelationFitness, EvalCounters,
                              EvolutionParams, default_params)
 from evoforge.errors import ParameterError
@@ -158,10 +159,11 @@ class TestBestClauseFitness:
 
     def test_exact_value(self):
         fit = BestClauseFitness(self.TARGET)
-        expected = float(max(conj_perf_closed_form(conj(2), c)
+        assert fit.exact_value(conj(2), 5) == 0.5  # against x1&x2 or x2&x3
+        expected = float(max(brute_perf(self.TARGET, c, 5,
+                                        OutputConvention.SIGNED)
                              for c in self.TARGET.clauses))
-        assert fit.exact_value(conj(2), 5) == expected
-        assert fit.exact_value(self.TARGET, 5) is None
+        assert fit.exact_value(self.TARGET, 5) == expected
 
     def test_counters_scale_with_k(self):
         c = EvalCounters()
