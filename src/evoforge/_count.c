@@ -1,13 +1,37 @@
 /* The count kernel of evoforge._kernels, compiled.
  *
  * Point i (0-based) is mix64(seed + (i+1)*GAMMA) masked to the low n bits,
- * the counter stream of rng.sample_blocks.  Predicate a is the conjunction
- * mask_a; predicate b is the conjunction mask_b or, when parity is nonzero,
- * the even parity of the bits of mask_b.  out receives (a and b true,
- * a true, b true).  Each predicate gets a branch-free loop of its own,
- * which the compiler vectorizes.
+ * the counter stream of rng.sample_blocks.  Each of the two predicates is
+ * a side: a list of k clause masks, true where x holds every bit of some
+ * clause (the OR of the clauses), or, with its parity flag set, one mask,
+ * true where x has an even number of those bits.  out receives (a and b
+ * true, a true, b true).
+ *
+ * count takes its arguments as one frame of 64-bit words in native byte
+ * order, not necessarily aligned: seed, s, n, ka, pa, kb, pb, then side
+ * a's ka masks and side b's kb, pa and pb being the parity flags.  ctypes
+ * converts each argument of a call at some cost, and a frame is one.
+ *
+ * A list of 2 to 4 clauses is padded to 4 by repeating its first clause,
+ * which leaves the OR unchanged.  So one branch-free loop serves each pair
+ * of padded widths, 1 or 4, with side b a clause list or a parity, and the
+ * compiler vectorizes each.  A wider list, or a parity on side a, takes the
+ * loop over a runtime clause count, which gives the same counts, slower.
+ *
+ * On x86-64 ELF targets count is built three times, for x86-64-v4
+ * (AVX-512), AVX2 and the x86-64 baseline, and the dynamic loader picks
+ * the widest one the CPU runs, so one build serves every x86-64 CPU.
  */
 #include <stdint.h>
+#include <string.h>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) \
+    && defined(__ELF__)
+#define CLONES __attribute__((target_clones("arch=x86-64-v4", "avx2", \
+                                            "default")))
+#else
+#define CLONES
+#endif
 
 #define GAMMA 0x9E3779B97F4A7C15ULL
 #define C1 0xBF58476D1CE4E5B9ULL
@@ -32,16 +56,39 @@ static inline int64_t even(uint64_t y)
     return (((y & NIBBLES) * NIBBLES) >> 60 & 1) ^ 1;
 }
 
-/* Inlined twice below with parity a constant: one loop per predicate. */
-static inline void count_loop(uint64_t seed, int64_t s, uint64_t mask_a,
-                              uint64_t mask_b, uint64_t dim, int parity,
+/* Word j of w. */
+static inline uint64_t word(const unsigned char *w, int j)
+{
+    uint64_t m;
+    memcpy(&m, w + 8 * (int64_t)j, 8);
+    return m;
+}
+
+/* 1 when x satisfies the side of k words w, or its parity. */
+static inline int64_t holds(uint64_t x, const unsigned char *w, int k,
+                            int parity)
+{
+    if (parity)
+        return even(x & word(w, 0));
+    int64_t t = 0;
+    for (int j = 0; j < k; j++) {
+        uint64_t m = word(w, j);
+        t |= (x & m) == m;
+    }
+    return t;
+}
+
+/* Inlined with constant widths and flags: one loop per pair of sides. */
+static inline void count_loop(uint64_t seed, int64_t s, uint64_t dim,
+                              const unsigned char *a, int ka, int pa,
+                              const unsigned char *b, int kb, int pb,
                               int64_t out[3])
 {
     int64_t both = 0, ca = 0, cb = 0;
     for (int64_t i = 0; i < s; i++) {
         uint64_t x = point(seed, i, dim);
-        int64_t ta = (x & mask_a) == mask_a;
-        int64_t tb = parity ? even(x & mask_b) : (x & mask_b) == mask_b;
+        int64_t ta = holds(x, a, ka, pa);
+        int64_t tb = holds(x, b, kb, pb);
         both += ta & tb;
         ca += ta;
         cb += tb;
@@ -51,12 +98,47 @@ static inline void count_loop(uint64_t seed, int64_t s, uint64_t mask_a,
     out[2] = cb;
 }
 
-void count(uint64_t seed, int64_t s, uint64_t mask_a, uint64_t mask_b,
-           int n, int parity, int64_t out[3])
+/* The k words of w padded to 4 by repeating the first. */
+static inline void pad4(const unsigned char *w, int k, uint64_t m[4])
 {
+    for (int j = 0; j < 4; j++)
+        m[j] = word(w, j < k ? j : 0);
+}
+
+CLONES
+void count(const unsigned char *frame, int64_t out[3])
+{
+    uint64_t seed = word(frame, 0);
+    int64_t s = (int64_t)word(frame, 1);
+    int n = (int)word(frame, 2), ka = (int)word(frame, 3);
+    int pa = (int)word(frame, 4), kb = (int)word(frame, 5);
+    int pb = (int)word(frame, 6);
     uint64_t dim = (1ULL << n) - 1;  /* 1 <= n <= 63, checked by the caller */
-    if (parity)
-        count_loop(seed, s, mask_a, mask_b, dim, 1, out);
-    else
-        count_loop(seed, s, mask_a, mask_b, dim, 0, out);
+    const unsigned char *wa = frame + 8 * 7, *wb = wa + 8 * (int64_t)ka;
+    uint64_t a[4], b[4];
+    const unsigned char *a4 = (const unsigned char *)a;
+    const unsigned char *b4 = (const unsigned char *)b;
+
+    if (pa || ka > 4 || kb > 4) {
+        count_loop(seed, s, dim, wa, ka, pa, wb, kb, pb, out);
+        return;
+    }
+    pad4(wa, ka, a);
+    pad4(wb, kb, b);
+    if (pb) {
+        if (ka == 1)
+            count_loop(seed, s, dim, a4, 1, 0, b4, 1, 1, out);
+        else
+            count_loop(seed, s, dim, a4, 4, 0, b4, 1, 1, out);
+    } else if (ka == 1) {
+        if (kb == 1)
+            count_loop(seed, s, dim, a4, 1, 0, b4, 1, 0, out);
+        else
+            count_loop(seed, s, dim, a4, 1, 0, b4, 4, 0, out);
+    } else {
+        if (kb == 1)
+            count_loop(seed, s, dim, a4, 4, 0, b4, 1, 0, out);
+        else
+            count_loop(seed, s, dim, a4, 4, 0, b4, 4, 0, out);
+    }
 }

@@ -1,18 +1,23 @@
-"""Fused draw-and-count kernel for the hot estimation paths.
+"""Fused draw-and-count kernel for every sampled estimate.
 
 The kernel walks the counter stream of rng.sample_assignments and returns
-integer counts for a pair of predicates on each point: a conjunction and
-either a second conjunction or a parity.  Estimates are therefore exact
-functions of (seed, s) with no float accumulation.
+integer counts for a pair of predicates on each point.  Each predicate is
+a side: a tuple of clause masks, true where a point holds every bit of
+one of them (a conjunction is one clause, a DNF one per clause), or a
+parity, one mask with its flag set, true where a point holds an even
+number of its bits.  Estimates are therefore exact functions of (seed, s)
+with no float accumulation.
 
 Two backends give the same counts.  The compiled one is _count.c, built
-on first import by the system C compiler ($CC, else cc) and cached per
-machine under $XDG_CACHE_HOME/evoforge (default ~/.cache/evoforge); it
-draws each point inline and holds no buffers.  When it cannot be built or
-loaded, _count_blocks runs: numpy over rng.sample_blocks with a few
-BLOCK-sized buffers per thread, kept across calls, so the memory used is
-bounded by the block size, not by s.  BACKEND names the one that runs.
-Tests check both against a pure-Python reference built on rng.mix64.
+on first import by the system C compiler ($CC, else cc) with plain -O3
+and cached under $XDG_CACHE_HOME/evoforge (default ~/.cache/evoforge);
+on x86-64 it holds clones for AVX-512, AVX2 and the baseline, and the
+dynamic loader picks one for the CPU it runs on.  It draws each point
+inline and holds no buffers.  When it cannot be built or loaded,
+_count_blocks runs: numpy over rng.sample_blocks with a few BLOCK-sized
+buffers per thread, kept across calls, so the memory used is bounded by
+the block size, not by s.  BACKEND names the one that runs.  Tests check
+both against a pure-Python reference built on rng.mix64.
 """
 from __future__ import annotations
 
@@ -22,44 +27,30 @@ import hashlib
 import os
 import platform
 import shutil
+import struct
 import tempfile
 import threading
 from importlib import resources
 
 import numpy as np
 
+from .errors import ParameterError
 from .rng import BLOCK, check_dim, sample_blocks
 
-_FLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
-
-
-def _cpu_id() -> bytes:
-    """The `model name` and `flags` lines of the first CPU in /proc/cpuinfo,
-    or b"" where that file does not exist."""
-    try:
-        with open("/proc/cpuinfo", "rb") as f:
-            lines = []
-            for line in f:
-                if not line.strip():
-                    break
-                if line.startswith((b"model name", b"flags")):
-                    lines.append(line)
-    except OSError:
-        return b""
-    return b"".join(lines)
+_FLAGS = ("-O3", "-shared", "-fPIC")
 
 
 def _library_path(source: bytes, compiler: str) -> str:
-    """Where the build of `source` by `compiler` is cached on this machine.
+    """Where the build of `source` by `compiler` is cached.
 
-    The name hashes everything the binary depends on: a -march=native
-    build must not be loaded on another CPU, nor after the compiler or the
-    source changes.
+    The name hashes everything the binary depends on: the source, the
+    flags, the compiler and the machine type.  Not the CPU: the build
+    picks its code path when it loads, so it runs on any CPU of the type.
     """
     h = hashlib.sha256()
     for part in (source, " ".join(_FLAGS).encode(), compiler.encode(),
                  str(os.stat(compiler).st_mtime_ns).encode(),
-                 platform.machine().encode(), _cpu_id()):
+                 platform.machine().encode()):
         h.update(hashlib.sha256(part).digest())
     cache = (os.environ.get("XDG_CACHE_HOME")
              or os.path.join(os.path.expanduser("~"), ".cache"))
@@ -85,30 +76,34 @@ def _build(source: bytes, compiler: str, path: str) -> None:
             os.unlink(tmp)
 
 
+def _compiler() -> str | None:
+    """The resolved path of $CC, else cc, or None when there is none."""
+    found = shutil.which(os.environ.get("CC") or "cc")
+    return found and os.path.realpath(found)
+
+
 def _load_compiled():
-    """The compiled `count` function of _count.c, or None when there is no
-    compiler, the compile fails, the cache cannot be written or the library
-    does not load.  A cache hit starts no process."""
+    """(the compiled `count` function of _count.c, its library's path), or
+    (None, None) when there is no compiler, the compile fails, the cache
+    cannot be written or the library does not load.  A cache hit starts no
+    process."""
     try:
         source = resources.files(__package__).joinpath("_count.c").read_bytes()
-        compiler = shutil.which(os.environ.get("CC") or "cc")
+        compiler = _compiler()
         if compiler is None:
-            return None
-        compiler = os.path.realpath(compiler)
+            return None, None
         path = _library_path(source, compiler)
         if not os.path.exists(path):
             _build(source, compiler, path)
         fn = ctypes.CDLL(path).count
     except (OSError, AttributeError):
-        return None
-    fn.argtypes = (ctypes.c_uint64, ctypes.c_int64, ctypes.c_uint64,
-                   ctypes.c_uint64, ctypes.c_int, ctypes.c_int,
-                   ctypes.POINTER(ctypes.c_int64))
+        return None, None
+    fn.argtypes = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64))
     fn.restype = None
-    return fn
+    return fn, path
 
 
-_count_c = _load_compiled()
+_count_c, LIBRARY = _load_compiled()
 BACKEND = "numpy" if _count_c is None else "c"
 # perfbench/run.py reads HAVE_NUMBA as "a compiled loop draws its points
 # inline", which the C loop does; kept until the benchmark reads BACKEND.
@@ -122,30 +117,40 @@ class _PredicateBuffers(threading.local):
         self.tmp = np.empty(BLOCK, dtype=np.uint64)
         self.a = np.empty(BLOCK, dtype=bool)
         self.b = np.empty(BLOCK, dtype=bool)
+        self.hit = np.empty(BLOCK, dtype=bool)
 
 
 _BUFFERS = _PredicateBuffers()
 
 
-def _count_blocks(seed: int, s: int, mask_a: int, mask_b: int, n: int,
-                  parity: bool) -> tuple[int, int, int]:
+def _holds(xs, masks, parity, tm, hit, out) -> None:
+    """out = the truth values of the side (masks, parity) at xs; tm and hit
+    are scratch buffers of the same length."""
+    np.bitwise_and(xs, masks[0], out=tm)
+    if parity:
+        np.bitwise_count(tm, out=tm)
+        np.bitwise_and(tm, np.uint64(1), out=tm)
+        np.logical_not(tm, out=out)
+        return
+    np.equal(tm, masks[0], out=out)
+    for m in masks[1:]:
+        np.bitwise_and(xs, m, out=tm)
+        np.equal(tm, m, out=hit)
+        np.logical_or(out, hit, out=out)
+
+
+def _count_blocks(seed: int, s: int, a: tuple, parity_a: bool, b: tuple,
+                  parity_b: bool, n: int) -> tuple[int, int, int]:
     """(both true, a true, b true) over s points, one block at a time."""
-    ma = np.uint64(mask_a)
-    mb = np.uint64(mask_b)
+    ma = [np.uint64(m) for m in a]
+    mb = [np.uint64(m) for m in b]
     buf = _BUFFERS
     c_both = c_a = c_b = 0
     for xs in sample_blocks(seed, s, n):
         m = len(xs)
-        tm, am, bm = buf.tmp[:m], buf.a[:m], buf.b[:m]
-        np.bitwise_and(xs, ma, out=tm)
-        np.equal(tm, ma, out=am)
-        np.bitwise_and(xs, mb, out=tm)
-        if parity:
-            np.bitwise_count(tm, out=tm)
-            np.bitwise_and(tm, np.uint64(1), out=tm)
-            np.logical_not(tm, out=bm)
-        else:
-            np.equal(tm, mb, out=bm)
+        tm, hit, am, bm = buf.tmp[:m], buf.hit[:m], buf.a[:m], buf.b[:m]
+        _holds(xs, ma, parity_a, tm, hit, am)
+        _holds(xs, mb, parity_b, tm, hit, bm)
         c_a += int(np.count_nonzero(am))
         c_b += int(np.count_nonzero(bm))
         np.logical_and(am, bm, out=am)
@@ -153,30 +158,64 @@ def _count_blocks(seed: int, s: int, mask_a: int, mask_b: int, n: int,
     return c_both, c_a, c_b
 
 
-def _count_compiled(seed: int, s: int, mask_a: int, mask_b: int, n: int,
-                    parity: bool) -> tuple[int, int, int]:
+class _Out(threading.local):
+    """One thread's out array for the compiled loop."""
+
+    def __init__(self):
+        self.out = (ctypes.c_int64 * 3)()
+
+
+_OUT = _Out()
+_PACKERS: dict = {}
+
+
+def _count_compiled(seed: int, s: int, a: tuple, parity_a: bool, b: tuple,
+                    parity_b: bool, n: int) -> tuple[int, int, int]:
     """_count_blocks by the compiled loop, which must have loaded."""
-    out = (ctypes.c_int64 * 3)()  # per call: threads share no buffer
-    _count_c(seed, s, mask_a, mask_b, n, parity, out)
+    ka, kb = len(a), len(b)
+    pack = _PACKERS.get(ka + kb)
+    if pack is None:  # the frame of _count.c: 7 words, then the masks
+        pack = _PACKERS[ka + kb] = struct.Struct(f"={7 + ka + kb}Q").pack
+    out = _OUT.out
+    _count_c(pack(seed, s, n, ka, parity_a, kb, parity_b, *a, *b), out)
     return out[0], out[1], out[2]
 
 
-def _count(seed: int, s: int, mask_a: int, mask_b: int, n: int,
-           parity: bool) -> tuple[int, int, int]:
+def _count(seed: int, s: int, a: tuple, parity_a: bool, b: tuple,
+           parity_b: bool, n: int) -> tuple[int, int, int]:
     """_count_blocks, on the backend BACKEND names."""
+    check_dim(n)
+    if not a or not b:
+        raise ParameterError("a side of the count needs at least one mask")
     kernel = _count_compiled if BACKEND == "c" else _count_blocks
-    return kernel(seed, s, mask_a, mask_b, n, parity)
+    return kernel(seed, s, a, parity_a, b, parity_b, n)
 
 
-def counts_conj_conj(seed: int, s: int, mask_r: int, mask_f: int,
+def counts_conj_conj(seed: int, s: int, a: tuple, b: tuple,
                      n: int) -> tuple[int, int, int]:
-    """(both true, r true, f true) over s drawn points for two conjunctions."""
-    check_dim(n)
-    return _count(seed, s, mask_r, mask_f, n, parity=False)
+    """(both true, a true, b true) over s drawn points for two clause
+    lists, each a conjunction (one mask) or a DNF (one mask per clause)."""
+    return _count(seed, s, a, False, b, False, n)
 
 
-def counts_conj_parity(seed: int, s: int, mask_c: int, mask_p: int,
-                       n: int) -> tuple[int, int, int]:
-    """(conj true and parity even, conj true, parity even) over s points."""
-    check_dim(n)
-    return _count(seed, s, mask_c, mask_p, n, parity=True)
+def counts_conj_parity(seed: int, s: int, a: tuple, p: tuple, n: int,
+                       parity_a: bool = False) -> tuple[int, int, int]:
+    """(a true and parity even, a true, parity even) over s drawn points:
+    a is a clause list, or with parity_a a parity too; p is (mask,)."""
+    return _count(seed, s, a, parity_a, p, True, n)
+
+
+def counts(seed: int, s: int, a: tuple, parity_a: bool, b: tuple,
+           parity_b: bool, n: int) -> tuple[int, int, int]:
+    """(both true, a true, b true) over s drawn points for any two sides.
+
+    A pair with a parity runs counts_conj_parity, with the parity on side
+    b, where the compiled loops vectorize it; any other pair runs
+    counts_conj_conj.
+    """
+    if parity_b:
+        return counts_conj_parity(seed, s, a, b, n, parity_a)
+    if parity_a:
+        both, cb, ca = counts_conj_parity(seed, s, b, a, n)
+        return both, ca, cb
+    return counts_conj_conj(seed, s, a, b, n)

@@ -45,6 +45,7 @@ class MonotoneConjunction:
     """AND of unnegated variables; empty set is the constant-true function."""
 
     literals: frozenset[int]
+    is_parity = False
 
     def __init__(self, literals: Iterable[int] = ()):
         object.__setattr__(self, "literals", _check_literals(literals))
@@ -60,6 +61,11 @@ class MonotoneConjunction:
     @cached_property
     def mask(self) -> int:
         return sum(1 << (v - 1) for v in self.literals)
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """The clause masks the count kernels take: this one clause."""
+        return (self.mask,)
 
     def truth_batch(self, xs: np.ndarray) -> np.ndarray:
         """Truth values over an array of packed points."""
@@ -81,6 +87,7 @@ class MonotoneDnf:
     """OR of monotone conjunctions. Clause order is meaningful, duplicates legal."""
 
     clauses: tuple[MonotoneConjunction, ...]
+    is_parity = False
 
     def __init__(self, clauses: Iterable[MonotoneConjunction]):
         cl = tuple(clauses)
@@ -97,6 +104,11 @@ class MonotoneDnf:
     @property
     def max_literal(self) -> int:
         return max(c.max_literal for c in self.clauses)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """One mask per clause, in order, for the count kernels."""
+        return tuple(c.mask for c in self.clauses)
 
     def truth_batch(self, xs: np.ndarray) -> np.ndarray:
         out = self.clauses[0].truth_batch(xs)
@@ -116,6 +128,7 @@ class ParityFunction:
     """(-1) raised to the sum of a fixed nonempty variable subset; always SIGNED."""
 
     literals: frozenset[int]
+    is_parity = True
 
     def __init__(self, literals: Iterable[int]):
         lits = _check_literals(literals)
@@ -134,6 +147,11 @@ class ParityFunction:
     @cached_property
     def mask(self) -> int:
         return sum(1 << (v - 1) for v in self.literals)
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """The one mask the count kernels take, with is_parity set."""
+        return (self.mask,)
 
     def truth_batch(self, xs: np.ndarray) -> np.ndarray:
         """True on even overlap, matching output +1."""

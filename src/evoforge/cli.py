@@ -1,8 +1,9 @@
-"""Command-line front end: `evoforge run|perf|list`.
+"""Command-line front end: `evoforge run|perf|list|info`.
 
 run executes a configured experiment and writes report.json, trace.csv,
 and summary.txt into the output directory.  Exit codes: 0 all golden
-checks passed, 1 golden-check failure, 2 configuration problem.
+checks passed, 1 golden-check failure, 2 configuration problem.  info
+prints which count backend runs and what it was built with.
 """
 from __future__ import annotations
 
@@ -11,9 +12,14 @@ import csv
 import inspect
 import io
 import json
+import os
+import platform
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from . import __version__, _kernels
 from .boolfn import OutputConvention, exact_perf
 from .config import FORMATS, RunConfig, check_range, parse_config
 from .errors import (ConfigError, DimensionMismatchError,
@@ -190,6 +196,20 @@ def cmd_list(_args) -> int:
     return 0
 
 
+def cmd_info(_args) -> int:
+    rows = [("evoforge", __version__),
+            ("backend", _kernels.BACKEND),
+            ("compiler", _kernels._compiler() or "none"),
+            ("library", _kernels.LIBRARY or "none"),
+            ("python", platform.python_version()),
+            ("numpy", np.__version__),
+            ("cpus", os.cpu_count()),
+            ("EVOFORGE_THREADS", os.environ.get("EVOFORGE_THREADS", "unset"))]
+    for key, val in rows:
+        print(f"{key}: {val}")
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evoforge",
@@ -222,6 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_list = sub.add_parser("list", help="list available experiments")
     p_list.set_defaults(func=cmd_list)
+
+    p_info = sub.add_parser("info", help="show the count backend, its build "
+                            "and the environment")
+    p_info.set_defaults(func=cmd_info)
     return parser
 
 

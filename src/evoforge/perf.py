@@ -11,13 +11,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 from . import _kernels
-from .boolfn import (MonotoneConjunction, MonotoneDnf, OutputConvention,
-                     ParityFunction, _check_dim, exact_perf)
+from .boolfn import MonotoneDnf, OutputConvention, _check_dim, exact_perf
 from .errors import KMismatchError, ParameterError
-from .rng import MASK64, sample_blocks
+from .rng import MASK64
 
 
 @dataclass(frozen=True)
@@ -78,41 +75,20 @@ class PerfMatrix:
         return [v for row in self.entries for v in row]
 
 
-def _truth_counts_generic(r, f, n: int, s: int, seed: int) -> tuple[int, int, int]:
-    c_both = c_r = c_f = 0
-    for xs in sample_blocks(seed, s, n):
-        tr = r.truth_batch(xs)
-        tf = f.truth_batch(xs)
-        c_both += int(np.count_nonzero(tr & tf))
-        c_r += int(np.count_nonzero(tr))
-        c_f += int(np.count_nonzero(tf))
-    return c_both, c_r, c_f
-
-
-def _sample_counts(r, f, n: int, s: int, seed: int) -> tuple[int, int, int]:
-    # Fused kernels cover the pairs the evolution loop actually estimates.
-    if isinstance(r, MonotoneConjunction) and isinstance(f, MonotoneConjunction):
-        return _kernels.counts_conj_conj(seed, s, r.mask, f.mask, n)
-    if isinstance(r, MonotoneConjunction) and isinstance(f, ParityFunction):
-        return _kernels.counts_conj_parity(seed, s, r.mask, f.mask, n)
-    if isinstance(r, ParityFunction) and isinstance(f, MonotoneConjunction):
-        cb, cf, cr = _kernels.counts_conj_parity(seed, s, f.mask, r.mask, n)
-        return cb, cr, cf
-    return _truth_counts_generic(r, f, n, s, seed)
-
-
 def empirical_perf(r, f, n: int, spec: SampleSpec,
                    convention: OutputConvention = OutputConvention.SIGNED) -> float:
     """s-sample estimate of the expected output product of r and f.
 
     Points are drawn i.i.d. uniform from {0,1}^n by the counter generator
     seeded from spec.seed, so identical inputs give identical outputs.
-    The estimate is assembled from integer counts, making it an exact
-    multiple of 1/s.
+    Every pair of function types is counted by the one count kernel,
+    _kernels.counts, and the estimate is assembled from its integer
+    counts, making it an exact multiple of 1/s.
     """
     _check_dim(r, n)
     _check_dim(f, n)
-    c_both, c_r, c_f = _sample_counts(r, f, n, spec.s, spec.seed)
+    c_both, c_r, c_f = _kernels.counts(spec.seed, spec.s, r.masks, r.is_parity,
+                                       f.masks, f.is_parity, n)
     if convention is OutputConvention.SIGNED:
         return (4 * c_both - 2 * c_r - 2 * c_f + spec.s) / spec.s
     return c_both / spec.s

@@ -1,11 +1,14 @@
 import json
+import os
+import platform
 import subprocess
 import sys
 from typing import get_args, get_type_hints
 
+import numpy as np
 import pytest
 
-from evoforge import boolfn
+from evoforge import _kernels, boolfn
 from evoforge.boolfn import (MonotoneConjunction, MonotoneDnf,
                              ParityFunction)
 from evoforge.cli import (_fmt, experiment_kwargs, main, report_json_text,
@@ -543,6 +546,27 @@ class TestCmdList:
         names = [line.split(":", 1)[0] for line in lines]
         assert names == sorted(REGISTRY)
         assert all(line.split(": ", 1)[1] for line in lines)
+
+
+class TestCmdInfo:
+    def test_reports_backend_build_and_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("EVOFORGE_THREADS", "2")
+        assert main(["info"]) == 0
+        rows = dict(line.split(": ", 1) for line in
+                    capsys.readouterr().out.strip().splitlines())
+        assert rows["backend"] == _kernels.BACKEND
+        if _kernels.BACKEND == "c":
+            assert os.path.isfile(rows["library"])
+            assert os.path.isfile(rows["compiler"])
+        else:
+            assert rows["library"] == "none"
+        assert rows["python"] == platform.python_version()
+        assert rows["numpy"] == np.__version__
+        assert rows["cpus"] == str(os.cpu_count())
+        assert rows["EVOFORGE_THREADS"] == "2"
+        # read-only: no option to set anything
+        with pytest.raises(SystemExit):
+            main(["info", "--backend", "numpy"])
 
 
 class TestModuleEntry:

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brute import brute_perf
+from brute import brute_perf, sampled_counts
 from evoforge import _kernels
-from evoforge._kernels import (_count_blocks, counts_conj_conj,
+from evoforge._kernels import (_count_blocks, counts, counts_conj_conj,
                                counts_conj_parity)
 from evoforge.boolfn import (MonotoneConjunction, MonotoneDnf,
                              OutputConvention, ParityFunction, exact_perf)
@@ -117,16 +117,23 @@ class TestEmpiricalPerf:
         assert inside >= 97
 
 
+def holds(fn, x):
+    """fn at the packed point x, by definition from its literals."""
+    def bit(v):
+        return x >> (v - 1) & 1
+    if isinstance(fn, ParityFunction):
+        return sum(bit(v) for v in fn.literals) % 2 == 0
+    if isinstance(fn, MonotoneDnf):
+        return any(holds(c, x) for c in fn.clauses)
+    return all(bit(v) for v in fn.literals)
+
+
 def reference_counts(seed, s, a, b, n):
     """(both, a, b) truth counts by definition, one rng.mix64 call per point."""
     both = c_a = c_b = 0
     for i in range(1, s + 1):
         x = mix64(seed + i * GAMMA) & ((1 << n) - 1)
-        ta = (x & a.mask) == a.mask
-        if isinstance(b, ParityFunction):
-            tb = bin(x & b.mask).count("1") % 2 == 0
-        else:
-            tb = (x & b.mask) == b.mask
+        ta, tb = holds(a, x), holds(b, x)
         both += ta and tb
         c_a += ta
         c_b += tb
@@ -141,6 +148,15 @@ def array_counts(seed, s, a, b, n):
             int(np.count_nonzero(tb)))
 
 
+def parity(*vars_):
+    return ParityFunction(frozenset(vars_))
+
+
+# DNFs of 1 to 5 clauses: widths 1 and 4 have loops of their own, 2 and 3
+# are padded to 4, and 5 takes the loop over a runtime clause count.
+WIDE = [dnf(*[(v, v + 1) for v in range(1, 2 * k, 2)]) for k in range(1, 6)]
+
+
 class TestKernels:
     CASES = [
         (conj(1, 2), conj(2, 5), 8),
@@ -148,45 +164,83 @@ class TestKernels:
         (conj(1, 2, 3, 4), conj(1, 2, 3, 4), 10),
         (conj(), conj(1), 1),
         (conj(1, 63), conj(31, 32, 63), 63),
+        *[(d, conj(2, 3), 10) for d in WIDE],
+        *[(conj(1), d, 10) for d in WIDE],
+        (CE_R, CE_F, 8),
+        (WIDE[3], WIDE[2], 10),
+        (WIDE[4], WIDE[1], 10),
+        (dnf((1,), ()), dnf((1,)), 1),
+        (dnf((1, 63), (2,), (32,)), dnf((63,), (1, 2), (3,), (4,), (5,)), 63),
+    ]
+    PARITY_CASES = [
+        (conj(1, 2), parity(2, 4), 8),
+        (conj(), parity(2, 4), 8),
+        (conj(1), parity(1), 1),
+        # literals spread up to x63, the widest point the sampler draws
+        (conj(5), parity(1, 2, 4, 8, 16, 32, 63), 63),
+        *[(d, parity(1, 4), 10) for d in WIDE],
+        (parity(2, 4), conj(1, 2), 8),
+        (parity(1, 3), WIDE[2], 10),
+        (parity(1, 3), WIDE[4], 10),
+        (parity(1, 2, 3), parity(2, 3), 8),
+        (parity(1), parity(1), 1),
+        (parity(1, 63), parity(2, 63), 63),
     ]
 
     @staticmethod
-    def check_kernel(monkeypatch, counts, a, b, n, seed, parity):
-        # Each count loop, and the public wrapper on each backend, against
-        # the pure-Python reference; then at and across block boundaries
-        # against counts over the whole sample array.
+    def check_kernel(monkeypatch, a, b, n, seed):
+        # Each count loop, the public wrappers on each backend, and the
+        # estimate, against the pure-Python reference; then at and across
+        # block boundaries against counts over the whole sample array.
         for s in (1, 4096, BLOCK - 1, BLOCK, BLOCK + 1):
             want = (reference_counts(seed, s, a, b, n) if s <= 4096
                     else array_counts(seed, s, a, b, n))
+            sides = (a.masks, a.is_parity, b.masks, b.is_parity)
             for kernel in KERNELS.values():
-                assert kernel(seed, s, a.mask, b.mask, n, parity) == want
+                assert kernel(seed, s, *sides, n) == want
             for _ in each_backend(monkeypatch):
-                assert counts(seed, s, a.mask, b.mask, n) == want
+                assert counts(seed, s, *sides, n) == want
+                if b.is_parity:
+                    assert counts_conj_parity(seed, s, a.masks, b.masks, n,
+                                              a.is_parity) == want
+                elif not a.is_parity:
+                    assert counts_conj_conj(seed, s, a.masks, b.masks,
+                                            n) == want
+                got = empirical_perf(a, b, n, SampleSpec(s, seed), BINARY)
+                assert got == want[0] / s
 
     def test_conj_conj_kernel_matches_reference(self, monkeypatch):
         for a, b, n in self.CASES:
             # MASK64 - 5: the counter wraps around 2^64 within the stream
             for seed in (0, 1, MASK64 - 5, MASK64):
-                self.check_kernel(monkeypatch, counts_conj_conj, a, b, n,
-                                  seed, parity=False)
+                self.check_kernel(monkeypatch, a, b, n, seed)
 
     def test_conj_parity_kernel_matches_reference(self, monkeypatch):
-        p = ParityFunction(frozenset({2, 4}))
-        # literals spread up to x63, the widest point the sampler draws
-        wide = ParityFunction(frozenset({1, 2, 4, 8, 16, 32, 63}))
-        for c, q, n in ((conj(1, 2), p, 8), (conj(), p, 8),
-                        (conj(1), ParityFunction(frozenset({1})), 1),
-                        (conj(5), wide, 63)):
+        for a, b, n in self.PARITY_CASES:
             for seed in (0, 9, MASK64 - 5):
-                self.check_kernel(monkeypatch, counts_conj_parity, c, q, n,
-                                  seed, parity=True)
+                self.check_kernel(monkeypatch, a, b, n, seed)
+
+    def test_kernels_match_the_sampled_reference(self, monkeypatch):
+        # against the functions' own truth_batch over rng.sample_blocks
+        for a, b, n in self.CASES + self.PARITY_CASES:
+            want = sampled_counts(a, b, n, 3 * BLOCK + 7, 11)
+            for _ in each_backend(monkeypatch):
+                assert counts(11, 3 * BLOCK + 7, a.masks, a.is_parity,
+                              b.masks, b.is_parity, n) == want
 
     @pytest.mark.parametrize("counts", [counts_conj_conj, counts_conj_parity])
     @pytest.mark.parametrize("n", [0, 64])
     @pytest.mark.parametrize("s", [0, 10])
     def test_dimension_check(self, counts, n, s):
         with pytest.raises(ParameterError, match="1..63"):
-            counts(1, s, 0b1, 0b10, n)
+            counts(1, s, (0b1,), (0b10,), n)
+
+    def test_empty_side_refused(self, monkeypatch):
+        for _ in each_backend(monkeypatch):
+            with pytest.raises(ParameterError, match="at least one mask"):
+                counts_conj_conj(1, 10, (), (0b1,), 4)
+            with pytest.raises(ParameterError, match="at least one mask"):
+                counts_conj_parity(1, 10, (0b1,), (), 4)
 
     def test_memory_does_not_grow_with_s(self, monkeypatch):
         # 40 blocks of uint64 samples would be 10 MiB; the kernels keep a
@@ -194,14 +248,14 @@ class TestKernels:
         s = 40 * BLOCK
         pairs = ((conj(1, 2), conj(2, 5)),
                  (conj(1, 2), ParityFunction(frozenset({2, 4}))),
-                 (CE_R, CE_F))
+                 (CE_R, CE_F), (WIDE[4], WIDE[4]))
         for _ in each_backend(monkeypatch):
             for r, f in pairs:
                 # a first, small call does any one-time set-up untraced
-                empirical_perf(r, f, 8, SampleSpec(1, 3), SIGNED)
+                empirical_perf(r, f, 10, SampleSpec(1, 3), SIGNED)
                 tracemalloc.start()
                 try:
-                    empirical_perf(r, f, 8, SampleSpec(s, 3), SIGNED)
+                    empirical_perf(r, f, 10, SampleSpec(s, 3), SIGNED)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
@@ -215,9 +269,10 @@ class TestKernels:
         c, p = conj(1, 2), ParityFunction(frozenset({2, 4}))
 
         def run(job):
-            return counts_conj_parity(job[0], job[1], c.mask, p.mask, 10)
+            return counts_conj_parity(job[0], job[1], c.masks, p.masks, 10)
 
-        want = [_count_blocks(*job, c.mask, p.mask, 10, True) for job in jobs]
+        want = [_count_blocks(*job, c.masks, False, p.masks, True, 10)
+                for job in jobs]
         for _ in each_backend(monkeypatch):
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
@@ -229,32 +284,46 @@ class TestKernels:
             assert got == want
 
     def test_counts_are_consistent(self):
-        both, cr, cf = counts_conj_conj(5, 1000, conj(1).mask,
-                                        conj(1, 2).mask, 4)
+        both, cr, cf = counts_conj_conj(5, 1000, conj(1).masks,
+                                        conj(1, 2).masks, 4)
         assert 0 <= both <= min(cr, cf) <= max(cr, cf) <= 1000
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PROBE = """
+PROBE_CASES = [(0, 5000, (0b11,), False, (0b110,), False, 8),
+               (MASK64 - 5, 5000, (0b1,), False, (0b101,), True, 8),
+               (7, 5000, (0b11, 0b1000, 0b10100), False, (0b1, 0b110), False,
+                8)]
+PROBE = f"""
 import json
 from evoforge import _kernels
-cases = [(0, 5000, 0b11, 0b110, 8, False), (2**64 - 6, 5000, 0b1, 0b101, 8, True)]
-print(json.dumps([_kernels.BACKEND] + [
-    (_kernels.counts_conj_parity if c[5] else _kernels.counts_conj_conj)(*c[:5])
-    for c in cases]))
+cases = {PROBE_CASES!r}
+print(json.dumps([_kernels.BACKEND] + [_kernels.counts(*c) for c in cases]))
 """
+# The files a fresh `import evoforge` opens, seen by an audit hook.
+OPENS = """
+import json, sys
+opened = []
+sys.addaudithook(lambda event, args: event == "open"
+                 and opened.append(str(args[0])))
+from evoforge import _kernels
+print(json.dumps([_kernels.BACKEND, opened]))
+"""
+
+
+def run_python(code, env):
+    """The JSON that `code` prints, run in a fresh interpreter under env."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src"), **env}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    return json.loads(out)
 
 
 def probe_backend(env):
     """BACKEND of a fresh `import evoforge` under env, whose counts must
     equal _count_blocks'."""
-    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src"), **env}
-    out = subprocess.run([sys.executable, "-c", PROBE], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    backend, *counts = json.loads(out)
-    want = [list(_count_blocks(0, 5000, 0b11, 0b110, 8, False)),
-            list(_count_blocks(MASK64 - 5, 5000, 0b1, 0b101, 8, True))]
-    assert counts == want
+    backend, *counts = run_python(PROBE, env)
+    assert counts == [list(_count_blocks(*c)) for c in PROBE_CASES]
     return backend
 
 
@@ -274,7 +343,7 @@ class TestBackend:
     def test_count_source_ships_as_package_data(self, tmp_path, monkeypatch):
         source = resources.files("evoforge").joinpath("_count.c")
         assert source.is_file()
-        assert b"void count(" in source.read_bytes()
+        assert b"void count(const unsigned char *frame" in source.read_bytes()
         # the loader compiles what the package resource holds
         if _kernels.BACKEND != "c":
             pytest.skip("the compiled backend did not load here")
@@ -282,15 +351,14 @@ class TestBackend:
         fake.mkdir()
         (fake / "_count.c").write_text(
             "#include <stdint.h>\n"
-            "void count(uint64_t seed, int64_t s, uint64_t a, uint64_t b,\n"
-            "           int n, int parity, int64_t out[3])\n"
-            "{ out[0] = 7; out[1] = 8; out[2] = 9; }\n")
+            "void count(const unsigned char *frame, int64_t out[3])\n"
+            "{ (void)frame; out[0] = 7; out[1] = 8; out[2] = 9; }\n")
         monkeypatch.setattr(_kernels.resources, "files", lambda pkg: fake)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        monkeypatch.setattr(_kernels, "_count_c", _kernels._load_compiled())
+        monkeypatch.setattr(_kernels, "_count_c", _kernels._load_compiled()[0])
         # and the public wrappers run it
-        assert counts_conj_conj(1, 10, 1, 2, 4) == (7, 8, 9)
-        assert counts_conj_parity(1, 10, 1, 2, 4) == (7, 8, 9)
+        assert counts_conj_conj(1, 10, (1,), (2,), 4) == (7, 8, 9)
+        assert counts_conj_parity(1, 10, (1,), (2,), 4) == (7, 8, 9)
 
     def test_cache_hit_reloads_the_same_library(self, tmp_path):
         if _kernels.BACKEND != "c":
@@ -303,6 +371,30 @@ class TestBackend:
         assert probe_backend(env) == "c"
         assert list((tmp_path / "evoforge").iterdir()) == built
         assert built[0].stat().st_mtime_ns == stamp
+
+    def test_cache_name_does_not_depend_on_the_cpu(self, monkeypatch):
+        # any existing file stands in for the compiler: the name hashes its
+        # path and modification time
+        before = _kernels._library_path(b"int x;\n", sys.executable)
+        real_open = open
+
+        def no_cpuinfo(path, *args, **kwargs):
+            if "cpuinfo" in str(path):
+                raise PermissionError(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", no_cpuinfo)
+        assert _kernels._library_path(b"int x;\n", sys.executable) == before
+
+    def test_warm_import_reads_no_cpuinfo(self, tmp_path):
+        env = {"XDG_CACHE_HOME": str(tmp_path)}
+        first = probe_backend(env)  # builds the library, given a compiler
+        backend, opened = run_python(OPENS, env)
+        assert backend == first
+        # the hook sees the package's own reads
+        assert any(p.endswith("_count.c") for p in opened) == (
+            compiler() is not None)
+        assert [p for p in opened if "cpuinfo" in p] == []
 
     @pytest.mark.parametrize("case", ["compiler_fails", "cache_unwritable",
                                       "library_corrupt"])

@@ -6,12 +6,18 @@ benchmark, perfbench/worker.py reads the kernel backend's name,
 scripts/probe_landscape.py calls the engine directly, and the
 README shows a library example and a table of the config keys; none is
 imported by the package, so renaming or deleting a name they use would
-otherwise go unnoticed until they are run.
+otherwise go unnoticed until they are run.  The C source of the count
+kernel is compiled here with every warning an error, which the loader's
+own build does not ask for.
 """
 import importlib.util
 import re
+import shutil
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from evoforge import _kernels
 from evoforge.config import KNOWN_KEYS
@@ -108,3 +114,12 @@ def test_readme_library_example_runs(capsys):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
     assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+def test_count_source_compiles_without_warnings():
+    source = ROOT / "src" / "evoforge" / "_count.c"
+    done = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror",
+                           "-fsyntax-only", str(source)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
