@@ -12,25 +12,35 @@
  * a's ka masks and side b's kb, pa and pb being the parity flags.  ctypes
  * converts each argument of a call at some cost, and a frame is one.
  *
- * A list of 2 to 4 clauses is padded to 4 by repeating its first clause,
- * which leaves the OR unchanged.  So one branch-free loop serves each pair
- * of padded widths, 1 or 4, with side b a clause list or a parity, and the
- * compiler vectorizes each.  A wider list, or a parity on side a, takes the
- * loop over a runtime clause count, which gives the same counts, slower.
+ * Three pairs have a branch-free loop of their own, which the compiler
+ * vectorizes: two conjunctions, a conjunction and a parity, and two lists
+ * of up to 4 clauses.  For the last, both lists are padded to 4 by
+ * repeating their first clause, which leaves the OR unchanged, so a
+ * conjunction against a DNF runs there too.  Any other pair (a wider
+ * list, a DNF against a parity, a parity on side a) takes the loop over a
+ * runtime clause count, which gives the same counts, slower.
  *
- * On x86-64 ELF targets count is built three times, for x86-64-v4
+ * With glibc on x86-64 ELF, count is built three times, for x86-64-v4
  * (AVX-512), AVX2 and the x86-64 baseline, and the dynamic loader picks
- * the widest one the CPU runs, so one build serves every x86-64 CPU.
+ * the widest one the CPU runs, so one build serves every x86-64 CPU.  The
+ * loops are forced inline so that each clone holds its own copy.  Other
+ * targets, musl among them (it has no ifunc), build the plain loop.
  */
 #include <stdint.h>
 #include <string.h>
 
+/* <stdint.h> defines __GLIBC__ on glibc. */
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) \
-    && defined(__ELF__)
+    && defined(__ELF__) && defined(__GLIBC__)
 #define CLONES __attribute__((target_clones("arch=x86-64-v4", "avx2", \
                                             "default")))
 #else
 #define CLONES
+#endif
+#if defined(__GNUC__) || defined(__clang__)
+#define INLINE static inline __attribute__((always_inline))
+#else
+#define INLINE static inline
 #endif
 
 #define GAMMA 0x9E3779B97F4A7C15ULL
@@ -38,7 +48,7 @@
 #define C2 0x94D049BB133111EBULL
 #define NIBBLES 0x1111111111111111ULL
 
-static inline uint64_t point(uint64_t seed, int64_t i, uint64_t dim)
+INLINE uint64_t point(uint64_t seed, int64_t i, uint64_t dim)
 {
     uint64_t z = seed + (uint64_t)(i + 1) * GAMMA;
     z = (z ^ (z >> 30)) * C1;
@@ -49,7 +59,7 @@ static inline uint64_t point(uint64_t seed, int64_t i, uint64_t dim)
 /* 1 when y has an even number of set bits.  __builtin_popcountll does not
  * vectorize here; this does: fold each nibble's parity into its low bit,
  * then sum the 16 nibble bits into the top nibble with one multiply. */
-static inline int64_t even(uint64_t y)
+INLINE int64_t even(uint64_t y)
 {
     y ^= y >> 1;
     y ^= y >> 2;
@@ -57,7 +67,7 @@ static inline int64_t even(uint64_t y)
 }
 
 /* Word j of w. */
-static inline uint64_t word(const unsigned char *w, int j)
+INLINE uint64_t word(const unsigned char *w, int j)
 {
     uint64_t m;
     memcpy(&m, w + 8 * (int64_t)j, 8);
@@ -65,7 +75,7 @@ static inline uint64_t word(const unsigned char *w, int j)
 }
 
 /* 1 when x satisfies the side of k words w, or its parity. */
-static inline int64_t holds(uint64_t x, const unsigned char *w, int k,
+INLINE int64_t holds(uint64_t x, const unsigned char *w, int k,
                             int parity)
 {
     if (parity)
@@ -79,7 +89,7 @@ static inline int64_t holds(uint64_t x, const unsigned char *w, int k,
 }
 
 /* Inlined with constant widths and flags: one loop per pair of sides. */
-static inline void count_loop(uint64_t seed, int64_t s, uint64_t dim,
+INLINE void count_loop(uint64_t seed, int64_t s, uint64_t dim,
                               const unsigned char *a, int ka, int pa,
                               const unsigned char *b, int kb, int pb,
                               int64_t out[3])
@@ -99,7 +109,7 @@ static inline void count_loop(uint64_t seed, int64_t s, uint64_t dim,
 }
 
 /* The k words of w padded to 4 by repeating the first. */
-static inline void pad4(const unsigned char *w, int k, uint64_t m[4])
+INLINE void pad4(const unsigned char *w, int k, uint64_t m[4])
 {
     for (int j = 0; j < 4; j++)
         m[j] = word(w, j < k ? j : 0);
@@ -119,26 +129,16 @@ void count(const unsigned char *frame, int64_t out[3])
     const unsigned char *a4 = (const unsigned char *)a;
     const unsigned char *b4 = (const unsigned char *)b;
 
-    if (pa || ka > 4 || kb > 4) {
+    if (pa || ka > 4 || kb > 4 || (pb && ka > 1)) {
         count_loop(seed, s, dim, wa, ka, pa, wb, kb, pb, out);
         return;
     }
     pad4(wa, ka, a);
     pad4(wb, kb, b);
-    if (pb) {
-        if (ka == 1)
-            count_loop(seed, s, dim, a4, 1, 0, b4, 1, 1, out);
-        else
-            count_loop(seed, s, dim, a4, 4, 0, b4, 1, 1, out);
-    } else if (ka == 1) {
-        if (kb == 1)
-            count_loop(seed, s, dim, a4, 1, 0, b4, 1, 0, out);
-        else
-            count_loop(seed, s, dim, a4, 1, 0, b4, 4, 0, out);
-    } else {
-        if (kb == 1)
-            count_loop(seed, s, dim, a4, 4, 0, b4, 1, 0, out);
-        else
-            count_loop(seed, s, dim, a4, 4, 0, b4, 4, 0, out);
-    }
+    if (pb)
+        count_loop(seed, s, dim, a4, 1, 0, b4, 1, 1, out);
+    else if (ka == 1 && kb == 1)
+        count_loop(seed, s, dim, a4, 1, 0, b4, 1, 0, out);
+    else
+        count_loop(seed, s, dim, a4, 4, 0, b4, 4, 0, out);
 }

@@ -11,9 +11,9 @@ with no float accumulation.
 Two backends give the same counts.  The compiled one is _count.c, built
 on first import by the system C compiler ($CC, else cc) with plain -O3
 and cached under $XDG_CACHE_HOME/evoforge (default ~/.cache/evoforge);
-on x86-64 it holds clones for AVX-512, AVX2 and the baseline, and the
-dynamic loader picks one for the CPU it runs on.  It draws each point
-inline and holds no buffers.  When it cannot be built or loaded,
+with glibc on x86-64 it holds clones for AVX-512, AVX2 and the baseline,
+and the dynamic loader picks one for the CPU it runs on.  It draws each
+point inline and holds no buffers.  When it cannot be built or loaded,
 _count_blocks runs: numpy over rng.sample_blocks with a few BLOCK-sized
 buffers per thread, kept across calls, so the memory used is bounded by
 the block size, not by s.  BACKEND names the one that runs.  Tests check
@@ -210,8 +210,8 @@ def counts(seed: int, s: int, a: tuple, parity_a: bool, b: tuple,
     """(both true, a true, b true) over s drawn points for any two sides.
 
     A pair with a parity runs counts_conj_parity, with the parity on side
-    b, where the compiled loops vectorize it; any other pair runs
-    counts_conj_conj.
+    b, where the compiled loop vectorizes it against a conjunction; any
+    other pair runs counts_conj_conj.
     """
     if parity_b:
         return counts_conj_parity(seed, s, a, b, n, parity_a)

@@ -152,8 +152,9 @@ def parity(*vars_):
     return ParityFunction(frozenset(vars_))
 
 
-# DNFs of 1 to 5 clauses: widths 1 and 4 have loops of their own, 2 and 3
-# are padded to 4, and 5 takes the loop over a runtime clause count.
+# DNFs of 1 to 5 clauses: against a conjunction, 1 has a loop of its own,
+# 2 to 4 are padded to 4, and 5 takes the loop over a runtime clause count;
+# against a parity, 2 or more take the runtime loop.
 WIDE = [dnf(*[(v, v + 1) for v in range(1, 2 * k, 2)]) for k in range(1, 6)]
 
 
