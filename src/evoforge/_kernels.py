@@ -13,11 +13,13 @@ on first import by the system C compiler ($CC, else cc) with plain -O3
 and cached under $XDG_CACHE_HOME/evoforge (default ~/.cache/evoforge);
 with glibc on x86-64 it holds clones for AVX-512, AVX2 and the baseline,
 and the dynamic loader picks one for the CPU it runs on.  It draws each
-point inline and holds no buffers.  When it cannot be built or loaded,
-_count_blocks runs: numpy over rng.sample_blocks with a few BLOCK-sized
-buffers per thread, kept across calls, so the memory used is bounded by
-the block size, not by s.  BACKEND names the one that runs.  Tests check
-both against a pure-Python reference built on rng.mix64.
+point inline, holds no buffers and needs no numpy.  When it cannot be
+built or loaded, _count_blocks runs: numpy over rng.sample_blocks with a
+few BLOCK-sized buffers per thread, kept across calls, so the memory used
+is bounded by the block size, not by s.  Only this fallback imports
+numpy, on its first count, which also allocates the thread's buffers.
+BACKEND names the one that runs.  Tests check both against a pure-Python
+reference built on rng.mix64.
 """
 from __future__ import annotations
 
@@ -25,14 +27,11 @@ import contextlib
 import ctypes
 import hashlib
 import os
-import platform
 import shutil
 import struct
 import tempfile
 import threading
 from importlib import resources
-
-import numpy as np
 
 from .errors import ParameterError
 from .rng import BLOCK, check_dim, sample_blocks
@@ -44,13 +43,14 @@ def _library_path(source: bytes, compiler: str) -> str:
     """Where the build of `source` by `compiler` is cached.
 
     The name hashes everything the binary depends on: the source, the
-    flags, the compiler and the machine type.  Not the CPU: the build
+    flags, the compiler and the machine type (os.uname().machine, the
+    string platform.machine() returns on POSIX).  Not the CPU: the build
     picks its code path when it loads, so it runs on any CPU of the type.
     """
     h = hashlib.sha256()
     for part in (source, " ".join(_FLAGS).encode(), compiler.encode(),
                  str(os.stat(compiler).st_mtime_ns).encode(),
-                 platform.machine().encode()):
+                 os.uname().machine.encode()):
         h.update(hashlib.sha256(part).digest())
     cache = (os.environ.get("XDG_CACHE_HOME")
              or os.path.join(os.path.expanduser("~"), ".cache"))
@@ -111,13 +111,11 @@ HAVE_NUMBA = BACKEND == "c"
 
 
 class _PredicateBuffers(threading.local):
-    """One thread's _count_blocks buffers; see rng._BlockBuffers for why."""
+    """One thread's _count_blocks buffers; see rng._BlockBuffers for why,
+    and for why the thread's first count allocates them."""
 
     def __init__(self):
-        self.tmp = np.empty(BLOCK, dtype=np.uint64)
-        self.a = np.empty(BLOCK, dtype=bool)
-        self.b = np.empty(BLOCK, dtype=bool)
-        self.hit = np.empty(BLOCK, dtype=bool)
+        self.tmp = self.a = self.b = self.hit = None
 
 
 _BUFFERS = _PredicateBuffers()
@@ -126,6 +124,8 @@ _BUFFERS = _PredicateBuffers()
 def _holds(xs, masks, parity, tm, hit, out) -> None:
     """out = the truth values of the side (masks, parity) at xs; tm and hit
     are scratch buffers of the same length."""
+    import numpy as np
+
     np.bitwise_and(xs, masks[0], out=tm)
     if parity:
         np.bitwise_count(tm, out=tm)
@@ -142,9 +142,16 @@ def _holds(xs, masks, parity, tm, hit, out) -> None:
 def _count_blocks(seed: int, s: int, a: tuple, parity_a: bool, b: tuple,
                   parity_b: bool, n: int) -> tuple[int, int, int]:
     """(both true, a true, b true) over s points, one block at a time."""
+    import numpy as np
+
     ma = [np.uint64(m) for m in a]
     mb = [np.uint64(m) for m in b]
     buf = _BUFFERS
+    if buf.tmp is None:
+        buf.tmp = np.empty(BLOCK, dtype=np.uint64)
+        buf.a = np.empty(BLOCK, dtype=bool)
+        buf.b = np.empty(BLOCK, dtype=bool)
+        buf.hit = np.empty(BLOCK, dtype=bool)
     c_both = c_a = c_b = 0
     for xs in sample_blocks(seed, s, n):
         m = len(xs)

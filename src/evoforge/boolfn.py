@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import (DimensionMismatchError, EnumerationBudgetError,
                      ParameterError)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Full enumeration above this dimension is refused, not attempted.
 ENUM_MAX_N = 24
@@ -40,6 +40,11 @@ def _check_literals(literals: Iterable[int]) -> frozenset[int]:
     return out
 
 
+def _mask(literals: frozenset[int]) -> int:
+    """The packed mask of a variable set: bit v-1 for each x_v."""
+    return sum(1 << (v - 1) for v in literals)
+
+
 @dataclass(frozen=True)
 class MonotoneConjunction:
     """AND of unnegated variables; empty set is the constant-true function."""
@@ -48,7 +53,10 @@ class MonotoneConjunction:
     is_parity = False
 
     def __init__(self, literals: Iterable[int] = ()):
-        object.__setattr__(self, "literals", _check_literals(literals))
+        lits = _check_literals(literals)
+        object.__setattr__(self, "literals", lits)
+        # not a field, so __eq__, __hash__ and __repr__ ignore it
+        object.__setattr__(self, "mask", _mask(lits))
 
     @property
     def size(self) -> int:
@@ -57,10 +65,6 @@ class MonotoneConjunction:
     @property
     def max_literal(self) -> int:
         return max(self.literals, default=0)
-
-    @cached_property
-    def mask(self) -> int:
-        return sum(1 << (v - 1) for v in self.literals)
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -96,6 +100,8 @@ class MonotoneDnf:
         if not all(isinstance(c, MonotoneConjunction) for c in cl):
             raise TypeError("clauses must be MonotoneConjunction instances")
         object.__setattr__(self, "clauses", cl)
+        # one mask per clause, in order, for the count kernels
+        object.__setattr__(self, "masks", tuple(c.mask for c in cl))
 
     @property
     def k(self) -> int:
@@ -104,11 +110,6 @@ class MonotoneDnf:
     @property
     def max_literal(self) -> int:
         return max(c.max_literal for c in self.clauses)
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """One mask per clause, in order, for the count kernels."""
-        return tuple(c.mask for c in self.clauses)
 
     def truth_batch(self, xs: np.ndarray) -> np.ndarray:
         out = self.clauses[0].truth_batch(xs)
@@ -135,6 +136,7 @@ class ParityFunction:
         if not lits:
             raise ParameterError("parity needs at least one variable")
         object.__setattr__(self, "literals", lits)
+        object.__setattr__(self, "mask", _mask(lits))
 
     @property
     def size(self) -> int:
@@ -144,10 +146,6 @@ class ParityFunction:
     def max_literal(self) -> int:
         return max(self.literals)
 
-    @cached_property
-    def mask(self) -> int:
-        return sum(1 << (v - 1) for v in self.literals)
-
     @property
     def masks(self) -> tuple[int, ...]:
         """The one mask the count kernels take, with is_parity set."""
@@ -155,6 +153,8 @@ class ParityFunction:
 
     def truth_batch(self, xs: np.ndarray) -> np.ndarray:
         """True on even overlap, matching output +1."""
+        import numpy as np
+
         m = xs.dtype.type(self.mask)
         return np.bitwise_count(xs & m) % 2 == 0
 
@@ -171,6 +171,8 @@ def truth_table(fn, n: int) -> np.ndarray:
         raise EnumerationBudgetError(
             f"n={n} exceeds the enumeration limit {ENUM_MAX_N}; "
             "use empirical estimation instead")
+    import numpy as np
+
     xs = np.arange(1 << n, dtype=np.uint32)
     return np.asarray(fn.truth_batch(xs), dtype=bool)
 
@@ -286,6 +288,8 @@ def exact_perf(r, f, n: int,
     n = max(r.max_literal, f.max_literal, 1)
     counts = _closed_counts(r, f, n)
     if counts is None:
+        import numpy as np
+
         tr = truth_table(r, n)
         tf = truth_table(f, n)
         counts = (int(np.count_nonzero(tr)), int(np.count_nonzero(tf)),

@@ -13,11 +13,8 @@ import inspect
 import io
 import json
 import os
-import platform
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, _kernels
 from .boolfn import OutputConvention, exact_perf
@@ -197,6 +194,10 @@ def cmd_list(_args) -> int:
 
 
 def cmd_info(_args) -> int:
+    import platform
+
+    import numpy as np  # the one command that loads it on the c backend
+
     rows = [("evoforge", __version__),
             ("backend", _kernels.BACKEND),
             ("compiler", _kernels._compiler() or "none"),

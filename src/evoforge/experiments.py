@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
@@ -111,6 +110,9 @@ def _map_trials(fn, count: int) -> list:
     workers = _worker_count()
     if workers == 1 or count <= 1:
         return [fn(i) for i in range(count)]
+    # imported here: it pulls in logging, which serial trials never use
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(count)))
 

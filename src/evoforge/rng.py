@@ -10,10 +10,13 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Iterator
-
-import numpy as np
+from functools import cache
+from typing import TYPE_CHECKING
 
 from .errors import ParameterError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -58,6 +61,8 @@ def sample_assignments(seed: int, count: int, n: int) -> np.ndarray:
     under a larger `count`.  This is the whole-array reference form; the
     estimators draw the same points through sample_blocks.
     """
+    import numpy as np
+
     check_dim(n)
     idx = np.arange(1, count + 1, dtype=np.uint64)
     z = np.uint64(seed & MASK64) + idx * np.uint64(GAMMA)
@@ -67,10 +72,16 @@ def sample_assignments(seed: int, count: int, n: int) -> np.ndarray:
     return z & np.uint64((1 << n) - 1)
 
 
-_STEPS = np.arange(1, BLOCK + 1, dtype=np.uint64) * np.uint64(GAMMA)
-_STEPS.flags.writeable = False
-_C1, _C2 = np.uint64(MIX_C1), np.uint64(MIX_C2)
-_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
+@cache
+def _stream_constants() -> tuple:
+    """(the read-only table of (j+1)*GAMMA for j < BLOCK, and the mixer's
+    multipliers and shifts as uint64), built by the first stream."""
+    import numpy as np
+
+    steps = np.arange(1, BLOCK + 1, dtype=np.uint64) * np.uint64(GAMMA)
+    steps.flags.writeable = False
+    return (steps, np.uint64(MIX_C1), np.uint64(MIX_C2), np.uint64(30),
+            np.uint64(27), np.uint64(31))
 
 
 class _BlockBuffers(threading.local):
@@ -79,12 +90,12 @@ class _BlockBuffers(threading.local):
     An estimate at the stock sample sizes is one to a few dozen blocks.
     Buffers allocated per call are handed back to the OS and faulted in
     again on every estimate, which costs about a third of the run time as
-    system time.
+    system time.  They are allocated by the thread's first stream, not
+    here: the module-level instance runs __init__ at import.
     """
 
     def __init__(self):
-        self.z = np.empty(BLOCK, dtype=np.uint64)
-        self.tmp = np.empty(BLOCK, dtype=np.uint64)
+        self.z = self.tmp = None
         self.busy = False
 
 
@@ -100,12 +111,18 @@ def sample_blocks(seed: int, count: int, n: int) -> Iterator[np.ndarray]:
     consume it before advancing.  A stream opened while another one of
     the same thread is still open gets buffers of its own.
     """
+    import numpy as np
+
     check_dim(n)
+    steps, c1, c2, s30, s27, s31 = _stream_constants()
     nested = _BUFFERS.busy
     if nested:
         z = np.empty(min(count, BLOCK), dtype=np.uint64)
         tmp = np.empty_like(z)
     else:
+        if _BUFFERS.z is None:
+            _BUFFERS.z = np.empty(BLOCK, dtype=np.uint64)
+            _BUFFERS.tmp = np.empty(BLOCK, dtype=np.uint64)
         z, tmp = _BUFFERS.z, _BUFFERS.tmp
         _BUFFERS.busy = True
     dim_mask = np.uint64((1 << n) - 1)
@@ -114,15 +131,15 @@ def sample_blocks(seed: int, count: int, n: int) -> Iterator[np.ndarray]:
             m = min(BLOCK, count - off)
             zb, tb = z[:m], tmp[:m]
             # sample off+j is mix64(seed + (off+j+1)*GAMMA)
-            np.add(_STEPS[:m], np.uint64((seed + off * GAMMA) & MASK64),
+            np.add(steps[:m], np.uint64((seed + off * GAMMA) & MASK64),
                    out=zb)
-            np.right_shift(zb, _S30, out=tb)
+            np.right_shift(zb, s30, out=tb)
             np.bitwise_xor(zb, tb, out=zb)
-            np.multiply(zb, _C1, out=zb)
-            np.right_shift(zb, _S27, out=tb)
+            np.multiply(zb, c1, out=zb)
+            np.right_shift(zb, s27, out=tb)
             np.bitwise_xor(zb, tb, out=zb)
-            np.multiply(zb, _C2, out=zb)
-            np.right_shift(zb, _S31, out=tb)
+            np.multiply(zb, c2, out=zb)
+            np.right_shift(zb, s31, out=tb)
             np.bitwise_xor(zb, tb, out=zb)
             np.bitwise_and(zb, dim_mask, out=zb)
             yield zb

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 
@@ -120,6 +121,17 @@ class TestDnf:
         want = [any(all(bit(x, v) for v in c.literals) for c in d.clauses)
                 for x in range(2 ** 6)]
         assert d.truth_batch(xs).tolist() == want
+
+
+def test_masks_are_set_once_and_are_not_fields():
+    c, d, p = conj(1, 3), dnf((1, 3), (2,)), ParityFunction({2, 4})
+    assert (c.mask, d.masks, p.mask) == (0b101, (0b101, 0b10), 0b1010)
+    assert [f.name for f in fields(MonotoneConjunction)] == ["literals"]
+    assert [f.name for f in fields(MonotoneDnf)] == ["clauses"]
+    assert [f.name for f in fields(ParityFunction)] == ["literals"]
+    assert repr(c) == "MonotoneConjunction(literals=frozenset({1, 3}))"
+    assert c == MonotoneConjunction((3, 1))
+    assert hash(c) == hash(MonotoneConjunction((3, 1)))
 
 
 class TestParity:

@@ -1,8 +1,10 @@
 import os
+import threading
 from fractions import Fraction
 
 import pytest
 
+from evoforge import experiments
 from evoforge.boolfn import MonotoneConjunction, MonotoneDnf
 from evoforge.engine import EvolutionParams
 from evoforge.errors import ConfigError, ParameterError
@@ -282,15 +284,44 @@ class TestWorkerPool:
         with pytest.raises(ConfigError):
             _worker_count()
 
+    # _worker_count clamps to os.cpu_count(), so on one CPU the pool
+    # would never run; these tests fake enough CPUs for it.
     def test_map_trials_order(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setenv("EVOFORGE_THREADS", "3")
-        assert _map_trials(lambda i: i * i, 6) == [0, 1, 4, 9, 16, 25]
+        second = threading.Event()
+        threads = set()
+
+        def fn(i):
+            threads.add(threading.get_ident())
+            if i == 0:  # holds its thread until trial 1 runs on another
+                second.wait(timeout=30)
+            elif i == 1:
+                second.set()
+            return i * i
+
+        assert _map_trials(fn, 6) == [0, 1, 4, 9, 16, 25]
+        assert second.is_set()
+        assert len(threads) >= 2
 
     def test_threads_change_nothing(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        threads = []
+        evolve = experiments.evolve_conjunction
+
+        def recording(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "evolve_conjunction", recording)
         monkeypatch.delenv("EVOFORGE_THREADS", raising=False)
         serial = run_conjunction_evolvability(6, 2, 0.2, 3, 5, s=800, g=25)
+        assert threads == [threading.main_thread()] * 3
+        threads.clear()
         monkeypatch.setenv("EVOFORGE_THREADS", "2")
         pooled = run_conjunction_evolvability(6, 2, 0.2, 3, 5, s=800, g=25)
+        assert len(threads) == 3
+        assert threading.main_thread() not in threads
         assert serial.trials == pooled.trials
         assert serial.aggregates == pooled.aggregates
         assert serial.trace_rows == pooled.trace_rows

@@ -423,6 +423,70 @@ class TestBackend:
             assert list((cache / "evoforge").iterdir()) == []
 
 
+# Modules that a run on the compiled backend never calls: numpy serves
+# only the fallback and the truth-table enumeration, platform only
+# `evoforge info`, concurrent.futures only a pool of trials.
+UNCALLED = ("numpy", "platform", "concurrent.futures")
+# `evoforge` commands run in one interpreter: which of UNCALLED they load.
+COMMANDS = """
+import contextlib, io, json, sys
+from evoforge import _kernels, cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rcs = [cli.main(argv) for argv in {argvs!r}]
+print(json.dumps([_kernels.BACKEND, rcs,
+                  [m for m in {uncalled!r} if m in sys.modules]]))
+"""
+# A conjunction, a parity and a DNF best_any run, each of one short trial.
+RUN_CONFIGS = [
+    "experiment = conjunction_evolvability\nn = 6\ntarget_size = 2\n"
+    "trials = 1\ns = 2000\ng = 5\n",
+    "experiment = parity\nn = 6\nparity_size = 3\ntrials = 1\n"
+    "s = 2000\ng = 5\n",
+    "experiment = structural_vs_functional\nterm_fitness = best_any\n"
+    "trials = 1\ns = 2000\ng = 3\n",
+]
+# An estimate on the fallback: which of UNCALLED the import loaded, and
+# which the estimate did.
+FALLBACK = f"""
+import json, sys
+from evoforge import _kernels, cli
+before = [m for m in {UNCALLED!r} if m in sys.modules]
+got = [_kernels.counts(*c) for c in {PROBE_CASES!r}]
+after = [m for m in {UNCALLED!r} if m in sys.modules]
+print(json.dumps([_kernels.BACKEND, before, after, got]))
+"""
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "c",
+                    reason="the compiled backend did not load here")
+class TestImports:
+    def test_compiled_path_loads_no_numpy(self, tmp_path):
+        argvs = []
+        for i, text in enumerate(RUN_CONFIGS):
+            (tmp_path / f"{i}.cfg").write_text(text)
+            argvs.append(["run", "--config", str(tmp_path / f"{i}.cfg"),
+                          "--out", str(tmp_path / f"out{i}")])
+        for mode in (["--exact"], ["--samples", "5000", "--seed", "3"]):
+            argvs.append(["perf", "--r", "x1&x2 | x3", "--f",
+                          "parity(x1,x2)", "--n", "8", *mode])
+        code = COMMANDS.format(argvs=argvs, uncalled=UNCALLED)
+        backend, rcs, loaded = run_python(code, {})
+        assert backend == "c"
+        # runs this short may fail a golden check (exit 1), not their config
+        assert all(rc in (0, 1) for rc in rcs[:3])
+        assert rcs[3:] == [0, 0]
+        assert loaded == []
+
+    def test_fallback_imports_numpy_on_first_estimate(self, tmp_path):
+        env = {"CC": "/bin/false", "XDG_CACHE_HOME": str(tmp_path)}
+        backend, before, after, got = run_python(FALLBACK, env)
+        assert backend == "numpy"
+        assert before == []
+        assert "numpy" in after
+        assert got == [list(_kernels._count_compiled(*c))
+                       for c in PROBE_CASES]
+
+
 class TestPerfMatrix:
     def test_validation(self):
         with pytest.raises(ParameterError):
