@@ -34,7 +34,7 @@ import threading
 from importlib import resources
 
 from .errors import ParameterError
-from .rng import BLOCK, check_dim, sample_blocks
+from .rng import BLOCK, MASK64, check_dim, sample_blocks
 
 _FLAGS = ("-O3", "-shared", "-fPIC")
 
@@ -82,6 +82,14 @@ def _compiler() -> str | None:
     return found and os.path.realpath(found)
 
 
+def _bind(path: str):
+    """The `count` function of the library at `path`, typed for ctypes."""
+    fn = ctypes.CDLL(path).count
+    fn.argtypes = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64))
+    fn.restype = None
+    return fn
+
+
 def _load_compiled():
     """(the compiled `count` function of _count.c, its library's path), or
     (None, None) when there is no compiler, the compile fails, the cache
@@ -95,12 +103,9 @@ def _load_compiled():
         path = _library_path(source, compiler)
         if not os.path.exists(path):
             _build(source, compiler, path)
-        fn = ctypes.CDLL(path).count
+        return _bind(path), path
     except (OSError, AttributeError):
         return None, None
-    fn.argtypes = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64))
-    fn.restype = None
-    return fn, path
 
 
 _count_c, LIBRARY = _load_compiled()
@@ -190,10 +195,17 @@ def _count_compiled(seed: int, s: int, a: tuple, parity_a: bool, b: tuple,
 
 def _count(seed: int, s: int, a: tuple, parity_a: bool, b: tuple,
            parity_b: bool, n: int) -> tuple[int, int, int]:
-    """_count_blocks, on the backend BACKEND names."""
+    """_count_blocks, on the backend BACKEND names, for arguments both
+    backends take: the compiled one reads each as a 64-bit word, s signed."""
     check_dim(n)
     if not a or not b:
         raise ParameterError("a side of the count needs at least one mask")
+    if not 0 <= s < 1 << 63:
+        raise ParameterError(f"sample count must be in 0..2^63-1, got {s}")
+    if not 0 <= seed <= MASK64:
+        raise ParameterError(f"seed must fit in 64 bits, got {seed}")
+    if min(*a, *b) < 0 or max(*a, *b) > MASK64:
+        raise ParameterError("every mask must fit in 64 bits")
     kernel = _count_compiled if BACKEND == "c" else _count_blocks
     return kernel(seed, s, a, parity_a, b, parity_b, n)
 

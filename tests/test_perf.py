@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -193,7 +194,8 @@ class TestKernels:
         # Each count loop, the public wrappers on each backend, and the
         # estimate, against the pure-Python reference; then at and across
         # block boundaries against counts over the whole sample array.
-        for s in (1, 4096, BLOCK - 1, BLOCK, BLOCK + 1):
+        # s = 1..17 ends in every remainder of the 8- and 4-lane loops.
+        for s in (*range(1, 18), 4096, BLOCK - 1, BLOCK, BLOCK + 1):
             want = (reference_counts(seed, s, a, b, n) if s <= 4096
                     else array_counts(seed, s, a, b, n))
             sides = (a.masks, a.is_parity, b.masks, b.is_parity)
@@ -235,6 +237,25 @@ class TestKernels:
     def test_dimension_check(self, counts, n, s):
         with pytest.raises(ParameterError, match="1..63"):
             counts(1, s, (0b1,), (0b10,), n)
+
+    @pytest.mark.parametrize("backend", list(KERNELS))
+    @pytest.mark.parametrize("seed, s, a, b, match", [
+        (1, -1, (0b1,), (0b10,), "sample count"),
+        (1, 1 << 63, (0b1,), (0b10,), "sample count"),
+        (-1, 10, (0b1,), (0b10,), "seed"),
+        (MASK64 + 1, 10, (0b1,), (0b10,), "seed"),
+        (1, 10, (0b1, -1), (0b10,), "mask"),
+        (1, 10, (0b1,), (MASK64 + 1,), "mask"),
+    ], ids=["s_negative", "s_2^63", "seed_negative", "seed_2^64",
+            "mask_negative", "mask_2^64"])
+    def test_arguments_out_of_range_refused(self, monkeypatch, backend,
+                                            seed, s, a, b, match):
+        # the same error from both backends, raised before any point is
+        # drawn: s = 2^63 would otherwise run for centuries on numpy
+        monkeypatch.setattr(_kernels, "BACKEND", backend)
+        for parity_b in (False, True):
+            with pytest.raises(ParameterError, match=match):
+                counts(seed, s, a, False, b, parity_b, 8)
 
     def test_empty_side_refused(self, monkeypatch):
         for _ in each_backend(monkeypatch):
@@ -421,6 +442,49 @@ class TestBackend:
         if case == "compiler_fails":
             # the failed build leaves no temporary file behind
             assert list((cache / "evoforge").iterdir()) == []
+
+
+# The ISAs of count's target_clones, each built alone from the branch with
+# no clones (no __ELF__) and run in its own interpreter, where a build for
+# an ISA this CPU lacks dies of SIGILL: a skip, not a crash of pytest.
+ISAS = {"baseline": "-march=x86-64", "avx2": "-mavx2",
+        "x86-64-v4": "-march=x86-64-v4"}
+ISA_PROBE = """
+import json, sys
+from evoforge import _kernels
+_kernels._count_c = _kernels._bind(sys.argv[1])
+cases = json.load(sys.stdin)
+print(json.dumps([_kernels._count_compiled(*c) for c in cases]))
+"""
+
+
+@pytest.mark.skipif(os.uname().machine != "x86_64"
+                    or shutil.which("cc") is None,
+                    reason="no cc on PATH, or not an x86-64 machine")
+@pytest.mark.parametrize("isa", list(ISAS))
+def test_every_isa_build_matches_the_blocks(tmp_path, isa):
+    lib = tmp_path / f"count-{isa}.so"
+    source = resources.files("evoforge").joinpath("_count.c").read_bytes()
+    subprocess.run(["cc", "-O3", "-shared", "-fPIC", "-U__ELF__", ISAS[isa],
+                    "-o", str(lib), "-x", "c", "-"], input=source,
+                   check=True, capture_output=True, timeout=60)
+    # every loop, with sizes that end in each remainder of the 8- and
+    # 4-lane loops and around a multiple of both
+    cases = [(seed, s, a.masks, a.is_parity, b.masks, b.is_parity, n)
+             for a, b, n in TestKernels.CASES + TestKernels.PARITY_CASES
+             for seed in (0, MASK64 - 5)
+             for s in (*range(1, 18), 4095, 4096, 4097)]
+    # CC=/bin/false: the import builds and loads no library of its own
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src"),
+           "CC": "/bin/false", "XDG_CACHE_HOME": str(tmp_path / "cache")}
+    done = subprocess.run([sys.executable, "-c", ISA_PROBE, str(lib)],
+                          input=json.dumps(cases), env=env,
+                          capture_output=True, text=True, timeout=120)
+    if done.returncode == -signal.SIGILL:
+        pytest.skip(f"this CPU does not run {isa} code")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [list(_count_blocks(*c))
+                                       for c in cases]
 
 
 # Modules that a run on the compiled backend never calls: numpy serves
