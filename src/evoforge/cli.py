@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__, _kernels
 from .boolfn import OutputConvention, exact_perf
-from .config import FORMATS, RunConfig, check_range, parse_config
+from .config import RunConfig, check_range, parse_config
 from .errors import (ConfigError, DimensionMismatchError,
                      EnumerationBudgetError, KMismatchError, ParameterError)
 from .experiments import REGISTRY, ExperimentReport
@@ -103,21 +103,15 @@ def summary_text(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_outputs(report: ExperimentReport, out_dir: Path,
-                  formats=FORMATS) -> list[Path]:
+def write_outputs(report: ExperimentReport, out_dir: Path) -> list[Path]:
+    """Write report.json, trace.csv and summary.txt; return their paths."""
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    if "json" in formats:
-        path = out_dir / "report.json"
-        path.write_text(report_json_text(report))
-        written.append(path)
-    if "csv" in formats:
-        path = out_dir / "trace.csv"
-        path.write_text(trace_csv_text(report))
-        written.append(path)
-    if "txt" in formats:
-        path = out_dir / "summary.txt"
-        path.write_text(summary_text(report))
+    for name, render in (("report.json", report_json_text),
+                         ("trace.csv", trace_csv_text),
+                         ("summary.txt", summary_text)):
+        path = out_dir / name
+        path.write_text(render(report))
         written.append(path)
     return written
 
@@ -147,7 +141,7 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out if args.out is not None
                    else (cfg.out or "evoforge_out"))
     try:
-        written = write_outputs(report, out_dir, cfg.formats)
+        written = write_outputs(report, out_dir)
     except OSError as exc:
         print(f"cannot write outputs: {exc}", file=sys.stderr)
         return 2

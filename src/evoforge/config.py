@@ -9,11 +9,12 @@ Example:
     trials = 50
     seed = 7
 
-The keys are `experiment`, `out`, `formats`, `k` (a clause-count
-assertion on the target) and the parameters of the experiments' run_*
-functions, whose annotations give each value's type.  Unknown and
-duplicate keys are rejected with their line number, as are type and
-range violations.  Values never contain '#'.
+The keys are `experiment`, `out` (the output directory), `k` (a
+clause-count assertion on the target) and the parameters of the
+experiments' run_* functions, whose annotations give each value's type.
+Unknown and duplicate keys are rejected with their line number, as are
+type and range violations; `n` must be in 1..63, the range the sampler
+draws.  Values never contain '#'.
 """
 from __future__ import annotations
 
@@ -28,8 +29,6 @@ from .experiments import REGISTRY
 from .funcspec import parse_function
 from .rng import MASK64
 
-FORMATS = ("json", "csv", "txt")
-
 
 @dataclass
 class RunConfig:
@@ -39,13 +38,12 @@ class RunConfig:
     experiment: str
     options: dict = field(default_factory=dict)
     out: str | None = None
-    formats: tuple = FORMATS
 
 
 def _key_types() -> dict:
     """Each key's type: a run_* parameter's annotation, less the None of
     an optional one."""
-    types = {"experiment": str, "out": str, "formats": str, "k": int}
+    types = {"experiment": str, "out": str, "k": int}
     for fn in REGISTRY.values():
         hints = get_type_hints(fn)
         del hints["return"]
@@ -61,13 +59,6 @@ KNOWN_KEYS = tuple(_TYPES)
 
 def _convert(key: str, text: str, line: int):
     kind = _TYPES[key]
-    if key == "formats":
-        parts = tuple(p.strip() for p in text.split(","))
-        bad = [p for p in parts if p not in FORMATS]
-        if bad:
-            raise ConfigError(f"unknown output format(s) {', '.join(bad)}; "
-                              f"choose from {', '.join(FORMATS)}", line)
-        return parts
     if kind is str:
         return text
     if kind in (int, float):
@@ -104,6 +95,8 @@ def check_range(key: str, val, line: int | None = None) -> None:
         msg = f"t must be > 0, got {val}"
     elif key in ("n", "k", "s", "q") and val < 1:
         msg = f"{key} must be >= 1, got {val}"
+    elif key == "n" and val > 63:  # rng.check_dim's range
+        msg = f"n must be <= 63, got {val}"
     elif key in ("g", "trials", "target_size", "parity_size") and val < 0:
         msg = f"{key} must be >= 0, got {val}"
     elif key == "seed" and not 0 <= val <= MASK64:
@@ -138,7 +131,7 @@ def parse_config(text: str) -> RunConfig:
     if "experiment" not in values:
         raise ConfigError("missing required key 'experiment'")
     cfg = RunConfig(values.pop("experiment"), out=values.pop("out", None),
-                    formats=values.pop("formats", FORMATS), options=values)
+                    options=values)
 
     # n and k are checked against the target the run will use: the
     # configured one, else the experiment's default.

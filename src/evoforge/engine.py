@@ -86,16 +86,12 @@ class RepresentationClass(ABC):
     neigh_cap: int
 
     @abstractmethod
-    def neighborhood(self, rep, epsilon: float) -> list:
+    def neighborhood(self, rep) -> list:
         """All one-generation mutations of rep, including rep itself."""
 
     @abstractmethod
     def mutation_weights(self, rep, neighborhood: list) -> list[float]:
         """Strictly positive selection weights over the neighborhood, summing to 1."""
-
-    @abstractmethod
-    def function(self, rep):
-        """The Boolean function rep stands for, as accepted by perf estimators."""
 
 
 @dataclass(frozen=True)
@@ -113,7 +109,6 @@ class GenerationRecord:
 
 @dataclass(frozen=True)
 class EvolutionTrace:
-    params: EvolutionParams
     records: tuple[GenerationRecord, ...]
     succeeded: bool
     success_gen: int | None
@@ -179,9 +174,9 @@ def classify_neighborhood(current_perf: float, neighbor_perfs: list[float],
     return beneficial, neutral
 
 
-def _checked_neighborhood(rep, cls: RepresentationClass,
-                          epsilon: float) -> tuple[list, list[float], int]:
-    nb = cls.neighborhood(rep, epsilon)
+def _checked_neighborhood(rep, cls: RepresentationClass
+                          ) -> tuple[list, list[float], int]:
+    nb = cls.neighborhood(rep)
     try:
         self_idx = nb.index(rep)
     except ValueError:
@@ -202,15 +197,14 @@ def _checked_neighborhood(rep, cls: RepresentationClass,
 def _advance(rep, cls, params: EvolutionParams, gen_seed: int, gen: int,
              emp: float, fitness, counters: EvalCounters):
     """Classify the neighborhood around rep and pick the successor."""
-    nb, weights, self_idx = _checked_neighborhood(rep, cls, params.epsilon)
+    nb, weights, self_idx = _checked_neighborhood(rep, cls)
     perfs = []
     for j, nbj in enumerate(nb):
         if j == self_idx:
             perfs.append(emp)  # the incumbent's own fresh estimate, reused
         else:
-            perfs.append(fitness.estimate(cls.function(nbj), params.n,
-                                          params.s, derive_seed(gen_seed, j),
-                                          counters))
+            perfs.append(fitness.estimate(nbj, params.n, params.s,
+                                          derive_seed(gen_seed, j), counters))
     beneficial, neutral = classify_neighborhood(emp, perfs, params.t)
     pool, chose = ((beneficial, "beneficial") if beneficial
                    else (neutral, "neutral"))
@@ -218,22 +212,22 @@ def _advance(rep, cls, params: EvolutionParams, gen_seed: int, gen: int,
                            derive_seed(gen_seed, _SELECT_TAG))
     record = GenerationRecord(
         gen=gen, rep=rep, emp_perf=emp,
-        exact_perf=fitness.exact_value(cls.function(rep), params.n),
+        exact_perf=fitness.exact_value(rep, params.n),
         n_beneficial=len(beneficial), n_neutral=len(neutral), chose=chose)
     return nb[pick], record
 
 
-def evolve(r0, cls: RepresentationClass, target, params: EvolutionParams,
-           fitness=None) -> EvolutionTrace:
+def evolve(r0, cls: RepresentationClass, params: EvolutionParams,
+           fitness) -> EvolutionTrace:
     """Run up to g generations from r0, stopping early on confirmed success.
 
     Success at generation j means the incumbent's fresh estimate exceeds
     1 - epsilon and an independent re-estimate agrees; the closing record
     then freezes the line with the singleton self set.  With g=0 the
     initial representation is still evaluated once, but no records are
-    emitted.  Bit-deterministic given (params, r0, target).
+    emitted.  A representation is its own Boolean function: fitness
+    scores it directly.  Bit-deterministic given (params, r0, fitness).
     """
-    fitness = fitness if fitness is not None else CorrelationFitness(target)
     counters = EvalCounters()
     cur = r0
     records: list[GenerationRecord] = []
@@ -241,11 +235,10 @@ def evolve(r0, cls: RepresentationClass, target, params: EvolutionParams,
     success_gen: int | None = None
     for gen in range(params.g + 1):
         gen_seed = derive_seed(params.seed, gen)
-        fn_cur = cls.function(cur)
-        emp = fitness.estimate(fn_cur, params.n, params.s,
+        emp = fitness.estimate(cur, params.n, params.s,
                                derive_seed(gen_seed, _SELF_TAG), counters)
         if emp > 1 - params.epsilon:
-            confirm = fitness.estimate(fn_cur, params.n, params.s,
+            confirm = fitness.estimate(cur, params.n, params.s,
                                        derive_seed(gen_seed, _CONFIRM_TAG),
                                        counters)
             if confirm > 1 - params.epsilon:
@@ -254,7 +247,7 @@ def evolve(r0, cls: RepresentationClass, target, params: EvolutionParams,
                 if params.g > 0:
                     records.append(GenerationRecord(
                         gen=gen, rep=cur, emp_perf=emp,
-                        exact_perf=fitness.exact_value(fn_cur, params.n),
+                        exact_perf=fitness.exact_value(cur, params.n),
                         n_beneficial=0, n_neutral=1, chose="neutral"))
                 break
         if gen == params.g:
@@ -262,7 +255,7 @@ def evolve(r0, cls: RepresentationClass, target, params: EvolutionParams,
         cur, record = _advance(cur, cls, params, gen_seed, gen, emp, fitness,
                                counters)
         records.append(record)
-    return EvolutionTrace(params=params, records=tuple(records),
+    return EvolutionTrace(records=tuple(records),
                           succeeded=succeeded, success_gen=success_gen,
                           final_rep=cur, perf_evals=counters.perf_evals,
                           samples_drawn=counters.samples)

@@ -21,7 +21,7 @@ from .errors import ConfigError, ParameterError
 from .perf import Aggregator, gen_perf, term_perf_matrix
 from .representations import (TermFitness, default_neigh_cap,
                               evolve_conjunction, evolve_kdnf)
-from .rng import derive_seed, uniform_unit
+from .rng import check_dim, derive_seed, uniform_unit
 
 # The three-singleton hypothesis that tracks this target almost perfectly
 # in correlation while sharing none of its clause structure.
@@ -161,9 +161,11 @@ def _dnf_n(n: int | None, target: MonotoneDnf) -> int:
 def _evolution_setup(n: int, epsilon: float, t: float | None, s: int | None,
                      g: int | None, q: int | None) -> tuple:
     """Stock params at seed 0, and the t/s/g/q/neigh_cap tail of a
-    report's params.  Each trial runs replace(params0, seed=...)."""
+    report's params.  Each trial runs replace(params0, seed=...).  An n
+    the sampler cannot draw is refused here, before any trial or table."""
     cap = default_neigh_cap(n)
     params0 = default_params(n, epsilon, cap, t=t, s=s, g=g)
+    check_dim(n)
     return params0, {"t": params0.t, "s": params0.s, "g": params0.g,
                      "q": q if q is not None else n, "neigh_cap": cap}
 

@@ -51,21 +51,19 @@ class Aggregator(Enum):
 
 @dataclass(frozen=True)
 class PerfMatrix:
-    """k x k performances: entries[i][j] is hypothesis clause j against target clause i."""
+    """k x k signed performances: entries[i][j] is hypothesis clause j
+    against target clause i."""
 
     entries: tuple[tuple[Fraction | float, ...], ...]
-    convention: OutputConvention
 
     def __post_init__(self):
         k = len(self.entries)
         if k < 1 or any(len(row) != k for row in self.entries):
             raise ParameterError("matrix must be square and nonempty")
-        lo = -1 if self.convention is OutputConvention.SIGNED else 0
         for row in self.entries:
             for v in row:
-                if not lo <= v <= 1:
-                    raise ParameterError(
-                        f"entry {v} outside [{lo}, 1] for {self.convention.value}")
+                if not -1 <= v <= 1:
+                    raise ParameterError(f"entry {v} outside [-1, 1]")
 
     @property
     def k(self) -> int:
@@ -94,17 +92,13 @@ def empirical_perf(r, f, n: int, spec: SampleSpec,
     return c_both / spec.s
 
 
-def term_perf_matrix(r: MonotoneDnf, f: MonotoneDnf, n: int,
-                     convention: OutputConvention = OutputConvention.SIGNED,
-                     ) -> PerfMatrix:
-    """Exact clause-by-clause performance matrix of hypothesis r against
-    target f, from exact_perf (entries are Fractions)."""
+def term_perf_matrix(r: MonotoneDnf, f: MonotoneDnf, n: int) -> PerfMatrix:
+    """Exact clause-by-clause signed performance matrix of hypothesis r
+    against target f, from exact_perf (entries are Fractions)."""
     if r.k != f.k:
         raise KMismatchError(f"clause counts differ: {r.k} vs {f.k}")
-    return PerfMatrix(
-        entries=tuple(tuple(exact_perf(rj, fi, n, convention)
-                            for rj in r.clauses) for fi in f.clauses),
-        convention=convention)
+    return PerfMatrix(tuple(tuple(exact_perf(rj, fi, n) for rj in r.clauses)
+                            for fi in f.clauses))
 
 
 def _has_row_matching(entries, k: int, threshold) -> bool:

@@ -79,17 +79,14 @@ class ConjunctionClass(RepresentationClass):
             raise ParameterError(f"size cap must be in 1..{n}, got {self.q}")
         self.neigh_cap = default_neigh_cap(n)
 
-    def neighborhood(self, rep: MonotoneConjunction,
-                     epsilon: float) -> list[MonotoneConjunction]:
+    def neighborhood(self, rep: MonotoneConjunction
+                     ) -> list[MonotoneConjunction]:
         return conj_neighborhood(rep, self.n, self.q)
 
     def mutation_weights(self, rep: MonotoneConjunction,
                          neighborhood: list[MonotoneConjunction]
                          ) -> list[float]:
         return conj_mutation_weights(rep, neighborhood)
-
-    def function(self, rep: MonotoneConjunction) -> MonotoneConjunction:
-        return rep
 
 
 def evolve_conjunction(target, params: EvolutionParams, *,
@@ -114,7 +111,7 @@ def evolve_conjunction(target, params: EvolutionParams, *,
     cls = ConjunctionClass(params.n, q=q_eff)
     if fitness is None:
         fitness = CorrelationFitness(target)
-    return evolve(MonotoneConjunction(), cls, target, params, fitness)
+    return evolve(MonotoneConjunction(), cls, params, fitness)
 
 
 class BestClauseFitness:
@@ -147,7 +144,6 @@ class KdnfResult:
     traces: tuple[EvolutionTrace, ...]
     matrix: PerfMatrix
     gen_perfs: dict
-    perf_evals: int
     samples_drawn: int
 
 
@@ -177,5 +173,4 @@ def evolve_kdnf(target: MonotoneDnf, params: EvolutionParams, *,
     return KdnfResult(result=result, traces=tuple(traces), matrix=matrix,
                       gen_perfs={agg: gen_perf(matrix, agg)
                                  for agg in Aggregator},
-                      perf_evals=sum(t.perf_evals for t in traces),
                       samples_drawn=sum(t.samples_drawn for t in traces))

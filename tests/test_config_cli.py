@@ -12,7 +12,7 @@ from evoforge import _kernels, boolfn
 from evoforge.boolfn import (MonotoneConjunction, MonotoneDnf,
                              ParityFunction)
 from evoforge.cli import (_fmt, experiment_kwargs, main, report_json_text,
-                          summary_text, trace_csv_text, write_outputs)
+                          summary_text, trace_csv_text)
 from evoforge.config import KNOWN_KEYS, parse_config
 from evoforge.engine import EvolutionParams
 from evoforge.errors import ConfigError
@@ -76,7 +76,7 @@ class TestParseConfig:
     def test_minimal(self):
         cfg = parse_config("experiment = counterexample\n")
         assert cfg.experiment == "counterexample"
-        assert cfg.formats == ("json", "csv", "txt")
+        assert cfg.out is None
         assert cfg.options == {}
 
     def test_full(self):
@@ -96,14 +96,12 @@ seed = 7
 aggregator = matched_min
 term_fitness = paired
 out = results
-formats = json, txt
 """)
         assert cfg.options["n"] == 8
         assert cfg.options["k"] == 3
         assert isinstance(cfg.options["target"], MonotoneDnf)
         assert cfg.options["aggregator"] is Aggregator.MATCHED_MIN
         assert cfg.options["term_fitness"] == "paired"
-        assert cfg.formats == ("json", "txt")
         assert cfg.out == "results"
 
     @pytest.mark.parametrize("text,fragment", [
@@ -116,11 +114,12 @@ formats = json, txt
         ("experiment = parity\nepsilon = 1.5\n", "line 2: epsilon"),
         ("experiment = parity\nt = 0\n", "t must be > 0"),
         ("experiment = parity\nn = 0\n", "n must be >= 1"),
+        ("experiment = parity\nn = 64\n", "line 2"),
         ("experiment = parity\ng = -1\n", "g must be >= 0"),
         ("experiment = parity\nseed = -2\n", "64 bits"),
         ("experiment = x\naggregator = best\n", "unknown aggregator"),
         ("experiment = x\nterm_fitness = solo\n", "paired or best_any"),
-        ("experiment = x\nformats = json, yaml\n", "yaml"),
+        ("experiment = x\nformats = json\n", "unknown key"),
         ("experiment = x\ntarget = x0&x1\n", "line 2"),
         ("experiment = x\nn = 8\ntarget = x9\n", "references x9"),
         ("experiment = x\nk = 2\ntarget = x1 | x2 | x3\n", "3 clause"),
@@ -252,8 +251,7 @@ class TestExperimentKwargs:
                   "parity_size": "3", "aggregator": "max",
                   "term_fitness": "paired", "t": "0.01", "s": "10", "g": "1",
                   "q": "2", "trials": "1", "seed": "1"}
-        assert set(values) == set(KNOWN_KEYS) - {"experiment", "out",
-                                                 "formats"}
+        assert set(values) == set(KNOWN_KEYS) - {"experiment", "out"}
         accepted = set()
         for key, value in values.items():
             try:
@@ -368,12 +366,6 @@ class TestOutputText:
         text = summary_text(report)
         assert "result: no golden checks defined" in text
         assert "rate = None" in text
-
-    def test_write_outputs_respects_formats(self, tmp_path):
-        written = write_outputs(run_counterexample(), tmp_path / "o",
-                                formats=("json",))
-        assert [p.name for p in written] == ["report.json"]
-        assert not (tmp_path / "o" / "trace.csv").exists()
 
 
 CE_CONFIG = "experiment = counterexample\n"
@@ -571,7 +563,11 @@ class TestCmdInfo:
 
 class TestModuleEntry:
     def test_python_dash_m(self):
+        # the child finds the package under src/, installed or not
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run([sys.executable, "-m", "evoforge", "list"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "counterexample" in proc.stdout

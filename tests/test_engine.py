@@ -44,14 +44,11 @@ class TriStub(RepresentationClass):
     def __init__(self, weights=(0.2, 0.6, 0.2)):
         self.weights = list(weights)
 
-    def neighborhood(self, rep, epsilon):
+    def neighborhood(self, rep):
         return [rep, (rep, "b1"), (rep, "b2")]
 
     def mutation_weights(self, rep, neighborhood):
         return list(self.weights)
-
-    def function(self, rep):
-        return rep
 
 
 class SoloStub(RepresentationClass):
@@ -59,14 +56,11 @@ class SoloStub(RepresentationClass):
 
     neigh_cap = 4
 
-    def neighborhood(self, rep, epsilon):
+    def neighborhood(self, rep):
         return [rep]
 
     def mutation_weights(self, rep, neighborhood):
         return [1.0]
-
-    def function(self, rep):
-        return rep
 
 
 STUB_PARAMS = EvolutionParams(n=4, epsilon=0.5, t=0.1, s=10, g=1, seed=0)
@@ -160,7 +154,7 @@ class TestStep:
 
     def test_self_only_is_forced_neutral(self):
         fit = TableFitness()
-        tr = evolve("a", SoloStub(), None, replace(STUB_PARAMS, seed=17),
+        tr = evolve("a", SoloStub(), replace(STUB_PARAMS, seed=17),
                     fitness=fit)
         assert tr.final_rep == "a"
         rec = tr.records[0]
@@ -173,7 +167,7 @@ class TestStep:
         fit = TableFitness({"base": 0.0, ("base", "b1"): 1.0,
                             ("base", "b2"): -1.0})
         for seed in range(50):
-            tr = evolve("base", cls, None, replace(STUB_PARAMS, seed=seed),
+            tr = evolve("base", cls, replace(STUB_PARAMS, seed=seed),
                         fitness=fit)
             assert tr.final_rep == ("base", "b1")
             rec = tr.records[0]
@@ -187,7 +181,7 @@ class TestStep:
         fit = TableFitness({"base": 0.0, ("base", "b1"): 1.0,
                             ("base", "b2"): 1.0})
         wins = sum(
-            evolve("base", cls, None, replace(STUB_PARAMS, seed=seed),
+            evolve("base", cls, replace(STUB_PARAMS, seed=seed),
                    fitness=fit).final_rep == ("base", "b1")
             for seed in range(10000))
         assert abs(wins / 10000 - 0.75) < 0.03
@@ -195,14 +189,13 @@ class TestStep:
     def test_incumbent_estimated_exactly_once(self):
         # generation 1 estimates only its incumbent before the budget ends
         fit = TableFitness()
-        tr = evolve("base", TriStub(), None, replace(STUB_PARAMS, seed=3),
+        tr = evolve("base", TriStub(), replace(STUB_PARAMS, seed=3),
                     fitness=fit)
         assert fit.calls == ["base", ("base", "b1"), ("base", "b2"),
                              tr.final_rep]
 
     def test_counter_accounting(self):
-        tr = evolve("base", TriStub(), None, STUB_PARAMS,
-                    fitness=TableFitness())
+        tr = evolve("base", TriStub(), STUB_PARAMS, fitness=TableFitness())
         # three in generation 0, then generation 1's incumbent
         assert tr.perf_evals == 3 + 1
         assert tr.samples_drawn == (3 + 1) * STUB_PARAMS.s
@@ -210,11 +203,11 @@ class TestStep:
 
 class TestNeighborhoodContract:
     def _run(self, cls):
-        evolve("base", cls, None, STUB_PARAMS, fitness=TableFitness())
+        evolve("base", cls, STUB_PARAMS, fitness=TableFitness())
 
     def test_missing_self(self):
         class NoSelf(SoloStub):
-            def neighborhood(self, rep, epsilon):
+            def neighborhood(self, rep):
                 return [(rep, "other")]
 
         with pytest.raises(ContractError, match="itself"):
@@ -257,7 +250,8 @@ class TestEvolve:
         target = conj(1, 2)
         params = EvolutionParams(n=4, epsilon=0.1, t=0.0125, s=50, g=10,
                                  seed=5)
-        tr = evolve(target, ConjunctionClass(4), target, params)
+        tr = evolve(target, ConjunctionClass(4), params,
+                    CorrelationFitness(target))
         assert tr.succeeded
         assert tr.success_gen == 0
         assert len(tr.records) == 1
@@ -269,13 +263,13 @@ class TestEvolve:
         assert tr.final_rep == target
         assert tr.perf_evals == 2  # initial estimate plus the confirmation
         assert tr.samples_drawn == 2 * params.s
-        assert tr.params == params
 
     def test_g_zero_success_emits_no_records(self):
         target = conj(1, 2)
         params = EvolutionParams(n=4, epsilon=0.1, t=0.0125, s=50, g=0,
                                  seed=5)
-        tr = evolve(target, ConjunctionClass(4), target, params)
+        tr = evolve(target, ConjunctionClass(4), params,
+                    CorrelationFitness(target))
         assert tr.succeeded
         assert tr.success_gen == 0
         assert tr.records == ()
@@ -295,7 +289,7 @@ class TestEvolve:
     def test_loop_accounting_without_success(self):
         params = EvolutionParams(n=4, epsilon=0.1, t=0.1, s=10, g=3, seed=0)
         fit = TableFitness()
-        tr = evolve("a", SoloStub(), None, params, fitness=fit)
+        tr = evolve("a", SoloStub(), params, fitness=fit)
         assert not tr.succeeded
         assert len(tr.records) == 3
         assert all(r.chose == "neutral" for r in tr.records)
@@ -310,7 +304,7 @@ class TestEvolve:
         params = EvolutionParams(n=6, epsilon=0.1, t=0.0125, s=1, g=720,
                                  seed=7)
         fit = CorrelationFitness(target, exact_mode=True)
-        tr = evolve(conj(), cls, target, params, fit)
+        tr = evolve(conj(), cls, params, fit)
         assert tr.succeeded
         assert tr.success_gen == 7
         perfs = [r.emp_perf for r in tr.records]

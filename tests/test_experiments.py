@@ -128,6 +128,8 @@ class TestConjunctionEvolvability:
             run_conjunction_evolvability(4, 5, 0.2, 1, 0)
         with pytest.raises(ParameterError):
             run_conjunction_evolvability(4, 2, 0.2, -1, 0)
+        with pytest.raises(ParameterError, match="1..63"):
+            run_conjunction_evolvability(n=64, trials=0)
 
 
 class TestStructuralVsFunctional:
@@ -167,6 +169,9 @@ class TestParity:
             run_parity(6, 7, 0.5, 1, 0)
         with pytest.raises(ParameterError):
             run_parity(6, 3, 0.5, -1, 0)
+        # refused before the C(n, 3)-row flat-landscape table is built
+        with pytest.raises(ParameterError, match="1..63"):
+            run_parity(n=64, trials=0)
 
     def test_small_run(self):
         report = run_parity(6, 3, 0.5, 2, 1, s=1500, g=40)

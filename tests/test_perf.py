@@ -554,12 +554,12 @@ class TestImports:
 class TestPerfMatrix:
     def test_validation(self):
         with pytest.raises(ParameterError):
-            PerfMatrix(entries=((0.5,), (0.5,)), convention=SIGNED)
+            PerfMatrix(entries=((0.5,), (0.5,)))
         with pytest.raises(ParameterError):
-            PerfMatrix(entries=((2.0,),), convention=SIGNED)
+            PerfMatrix(entries=((2.0,),))
         with pytest.raises(ParameterError):
-            PerfMatrix(entries=((-0.5,),), convention=BINARY)
-        m = PerfMatrix(entries=((0.5, 0.0), (-1.0, 1.0)), convention=SIGNED)
+            PerfMatrix(entries=((-1.5,),))
+        m = PerfMatrix(entries=((0.5, 0.0), (-1.0, 1.0)))
         assert m.k == 2
 
 
@@ -605,7 +605,7 @@ class TestTermPerfMatrix:
 
 
 def matrix(rows):
-    return PerfMatrix(entries=tuple(tuple(r) for r in rows), convention=SIGNED)
+    return PerfMatrix(entries=tuple(tuple(r) for r in rows))
 
 
 class TestGenPerf:
