@@ -1,10 +1,12 @@
 """Boolean functions on the n-cube and the exact correlation oracle.
 
-Functions are monotone conjunctions (AND of unnegated variables,
-identified with their variable sets), monotone DNFs (OR of such
-conjunctions), and parities; no other type is accepted.  Variables are
-1-based; a point of {0,1}^n is bit-packed with bit i-1 holding the value
-of x_i.  Correlations are expectations of output products under the
+Functions are monotone conjunctions (AND of unnegated variables),
+monotone DNFs (OR of such conjunctions), and parities; no other type is
+accepted.  Variables are 1-based; a point of {0,1}^n is bit-packed with
+bit i-1 holding the value of x_i.  A conjunction or a parity is its
+variable set, and stores that set only as a mask packed the same way:
+its literals, size and highest variable are read off the mask's bits.
+Correlations are expectations of output products under the
 uniform distribution, computed exactly as rationals.  They depend on n
 only through the highest variable either function mentions.
 """
@@ -32,44 +34,66 @@ class OutputConvention(Enum):
     BINARY = "binary"
 
 
-def _check_literals(literals: Iterable[int]) -> frozenset[int]:
-    out = frozenset(literals)
-    for v in out:
+def _mask_of(literals: Iterable[int]) -> int:
+    """The packed mask of a variable set: bit v-1 for each x_v."""
+    mask = 0
+    for v in literals:
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise ParameterError(f"variable indices must be positive ints, got {v!r}")
-    return out
-
-
-def _mask(literals: frozenset[int]) -> int:
-    """The packed mask of a variable set: bit v-1 for each x_v."""
-    return sum(1 << (v - 1) for v in literals)
+        mask |= 1 << (v - 1)
+    return mask
 
 
 @dataclass(frozen=True)
-class MonotoneConjunction:
-    """AND of unnegated variables; empty set is the constant-true function."""
+class _VariableSet:
+    """A set of variables, stored only as its packed mask."""
 
-    literals: frozenset[int]
-    is_parity = False
+    mask: int
 
     def __init__(self, literals: Iterable[int] = ()):
-        lits = _check_literals(literals)
-        object.__setattr__(self, "literals", lits)
-        # not a field, so __eq__, __hash__ and __repr__ ignore it
-        object.__setattr__(self, "mask", _mask(lits))
+        object.__setattr__(self, "mask", _mask_of(literals))
+
+    @classmethod
+    def from_mask(cls, mask: int):
+        """The set whose mask is `mask`, which the caller has checked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "mask", mask)
+        return out
+
+    @property
+    def literals(self) -> frozenset[int]:
+        return frozenset(self._variables())
+
+    def _variables(self) -> list[int]:
+        """The variables in ascending order, one step per set bit."""
+        out, m = [], self.mask
+        while m:
+            low = m & -m
+            out.append(low.bit_length())
+            m ^= low
+        return out
 
     @property
     def size(self) -> int:
-        return len(self.literals)
+        return self.mask.bit_count()
 
     @property
     def max_literal(self) -> int:
-        return max(self.literals, default=0)
+        return self.mask.bit_length()
 
     @property
     def masks(self) -> tuple[int, ...]:
-        """The clause masks the count kernels take: this one clause."""
+        """The masks the count kernels take: this one."""
         return (self.mask,)
+
+    def __str__(self) -> str:
+        return self.canonical()
+
+
+class MonotoneConjunction(_VariableSet):
+    """AND of unnegated variables; empty set is the constant-true function."""
+
+    is_parity = False
 
     def truth_batch(self, xs: np.ndarray) -> np.ndarray:
         """Truth values over an array of packed points."""
@@ -78,12 +102,9 @@ class MonotoneConjunction:
 
     def canonical(self) -> str:
         """Literal-sorted text form, "true" for the empty conjunction."""
-        if not self.literals:
+        if not self.mask:
             return "true"
-        return "&".join(f"x{v}" for v in sorted(self.literals))
-
-    def __str__(self) -> str:
-        return self.canonical()
+        return "&".join(f"x{v}" for v in self._variables())
 
 
 @dataclass(frozen=True)
@@ -109,7 +130,7 @@ class MonotoneDnf:
 
     @property
     def max_literal(self) -> int:
-        return max(c.max_literal for c in self.clauses)
+        return max(self.masks).bit_length()
 
     def truth_batch(self, xs: np.ndarray) -> np.ndarray:
         out = self.clauses[0].truth_batch(xs)
@@ -124,32 +145,15 @@ class MonotoneDnf:
         return self.canonical()
 
 
-@dataclass(frozen=True)
-class ParityFunction:
+class ParityFunction(_VariableSet):
     """(-1) raised to the sum of a fixed nonempty variable subset; always SIGNED."""
 
-    literals: frozenset[int]
     is_parity = True
 
     def __init__(self, literals: Iterable[int]):
-        lits = _check_literals(literals)
-        if not lits:
+        super().__init__(literals)
+        if not self.mask:
             raise ParameterError("parity needs at least one variable")
-        object.__setattr__(self, "literals", lits)
-        object.__setattr__(self, "mask", _mask(lits))
-
-    @property
-    def size(self) -> int:
-        return len(self.literals)
-
-    @property
-    def max_literal(self) -> int:
-        return max(self.literals)
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        """The one mask the count kernels take, with is_parity set."""
-        return (self.mask,)
 
     def truth_batch(self, xs: np.ndarray) -> np.ndarray:
         """True on even overlap, matching output +1."""
@@ -159,10 +163,7 @@ class ParityFunction:
         return np.bitwise_count(xs & m) % 2 == 0
 
     def canonical(self) -> str:
-        return "parity(" + ",".join(f"x{v}" for v in sorted(self.literals)) + ")"
-
-    def __str__(self) -> str:
-        return self.canonical()
+        return "parity(" + ",".join(f"x{v}" for v in self._variables()) + ")"
 
 
 def truth_table(fn, n: int) -> np.ndarray:

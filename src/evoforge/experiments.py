@@ -159,12 +159,13 @@ def _dnf_n(n: int | None, target: MonotoneDnf) -> int:
 
 
 def _evolution_setup(n: int, epsilon: float, t: float | None, s: int | None,
-                     g: int | None, q: int | None) -> tuple:
-    """Stock params at seed 0, and the t/s/g/q/neigh_cap tail of a
-    report's params.  Each trial runs replace(params0, seed=...).  An n
-    the sampler cannot draw is refused here, before any trial or table."""
+                     g: int | None, q: int | None, seed: int) -> tuple:
+    """Stock params at the master seed, and the t/s/g/q/neigh_cap tail of
+    a report's params.  Each trial runs replace(params0, seed=...).  An n
+    the sampler cannot draw, or a seed outside 64 bits, is refused here,
+    before any trial or table."""
     cap = default_neigh_cap(n)
-    params0 = default_params(n, epsilon, cap, t=t, s=s, g=g)
+    params0 = default_params(n, epsilon, cap, seed, t=t, s=s, g=g)
     check_dim(n)
     return params0, {"t": params0.t, "s": params0.s, "g": params0.g,
                      "q": q if q is not None else n, "neigh_cap": cap}
@@ -237,7 +238,7 @@ def run_conjunction_evolvability(n: int = 10, target_size: int = 3,
         raise ParameterError(f"target size {target_size} outside 0..{n}")
     if trials < 0:
         raise ParameterError(f"trials must be >= 0, got {trials}")
-    params0, tail = _evolution_setup(n, epsilon, t, s, g, q)
+    params0, tail = _evolution_setup(n, epsilon, t, s, g, q, seed)
     budget = params0.g * (tail["neigh_cap"] + 1) * params0.s
 
     def one(i: int):
@@ -301,7 +302,7 @@ def run_structural_vs_functional(target: MonotoneDnf = COUNTEREXAMPLE_TARGET,
             "structural_vs_functional needs a target of >= 2 clauses, as its "
             f"max-above-min check compares clauses; got {target.canonical()}")
     n_eff = _dnf_n(n, target)
-    params0, tail = _evolution_setup(n_eff, epsilon, t, s, g, q)
+    params0, tail = _evolution_setup(n_eff, epsilon, t, s, g, q, seed)
 
     def one(i: int):
         res = evolve_kdnf(target, replace(params0, seed=derive_seed(seed, i)),
@@ -356,7 +357,7 @@ def run_parity(n: int = 10, parity_size: int = 4, epsilon: float = 0.5,
     if trials < 0:
         raise ParameterError(f"trials must be >= 0, got {trials}")
     target = ParityFunction(frozenset(range(1, parity_size + 1)))
-    params0, tail = _evolution_setup(n, epsilon, t, s, g, q)
+    params0, tail = _evolution_setup(n, epsilon, t, s, g, q, seed)
     threshold = 1 - epsilon
 
     def one(i: int):
@@ -456,16 +457,17 @@ def run_redundancy_bias(target: MonotoneDnf = REDUNDANCY_TARGET,
     disjoint-clause control target of the same shape when one fits in n
     variables.  Descriptive only: no threshold is asserted.
     """
+    from .funcspec import parse_dnf
+
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    shared = any(a.literals & b.literals
-                 for a, b in combinations(target.clauses, 2))
+    shared = any(a.mask & b.mask for a, b in combinations(target.clauses, 2))
     if not shared:
         raise ConfigError(
             "redundancy target needs >= 2 clauses sharing a literal; "
             f"got {target.canonical()}")
     n_eff = _dnf_n(n, target)
-    params0, tail = _evolution_setup(n_eff, epsilon, t, s, g, q)
+    params0, tail = _evolution_setup(n_eff, epsilon, t, s, g, q, seed)
     control = _disjoint_control(target, n_eff)
 
     def nearest_clause(conj: MonotoneConjunction, tgt: MonotoneDnf) -> int:
@@ -490,9 +492,9 @@ def run_redundancy_bias(target: MonotoneDnf = REDUNDANCY_TARGET,
 
         results, rows = _run_trials(one, trials)
         dup_freq = sum(r["has_duplicate_convergence"] for r in results) / trials
-        hist = _histogram(int(lit[1:]) for r in results
-                          for part in r["result"].split(" | ")
-                          for lit in part.split("&") if lit != "true")
+        hist = _histogram(v for r in results
+                          for c in parse_dnf(r["result"]).clauses
+                          for v in c.literals)
         return results, rows, dup_freq, hist
 
     trials_out, rows, dup_shared, hist_shared = run_variant(target, 0)

@@ -30,28 +30,18 @@ def conj_neighborhood(r: MonotoneConjunction, n: int,
     Order: self, then additions by ascending variable, removals by
     ascending variable, swaps by (removed, added) ascending.  Additions
     are suppressed at the size cap q.  Size is 1 + (n-v) + v + v*(n-v)
-    when the cap does not bind, with v = |vars|.
+    when the cap does not bind, with v = |vars|.  Additions, removals
+    and swaps give sizes v+1, v-1 and v, and distinct moves of one kind
+    give distinct sets, so no neighbour repeats.
     """
-    present = sorted(r.literals)
-    absent = [v for v in range(1, n + 1) if v not in r.literals]
-    out = [r]
-    seen = {r.literals}
-
-    def push(lits):
-        fs = frozenset(lits)
-        if fs not in seen:
-            seen.add(fs)
-            out.append(MonotoneConjunction(fs))
-
-    if r.size < q:
-        for v in absent:
-            push(r.literals | {v})
-    for v in present:
-        push(r.literals - {v})
-    for u in present:
-        for w in absent:
-            push((r.literals - {u}) | {w})
-    return out
+    mask = r.mask
+    bits = [1 << i for i in range(n)]
+    present = [b for b in bits if mask & b]
+    absent = [b for b in bits if not mask & b]
+    masks = [mask | b for b in absent] if r.size < q else []
+    masks += [mask ^ b for b in present]
+    masks += [(mask ^ u) | w for u in present for w in absent]
+    return [r] + [MonotoneConjunction.from_mask(m) for m in masks]
 
 
 def conj_mutation_weights(r: MonotoneConjunction,

@@ -123,15 +123,23 @@ class TestDnf:
         assert d.truth_batch(xs).tolist() == want
 
 
-def test_masks_are_set_once_and_are_not_fields():
+def test_a_set_is_its_mask():
     c, d, p = conj(1, 3), dnf((1, 3), (2,)), ParityFunction({2, 4})
     assert (c.mask, d.masks, p.mask) == (0b101, (0b101, 0b10), 0b1010)
-    assert [f.name for f in fields(MonotoneConjunction)] == ["literals"]
+    assert [f.name for f in fields(MonotoneConjunction)] == ["mask"]
+    assert [f.name for f in fields(ParityFunction)] == ["mask"]
     assert [f.name for f in fields(MonotoneDnf)] == ["clauses"]
-    assert [f.name for f in fields(ParityFunction)] == ["literals"]
-    assert repr(c) == "MonotoneConjunction(literals=frozenset({1, 3}))"
-    assert c == MonotoneConjunction((3, 1))
-    assert hash(c) == hash(MonotoneConjunction((3, 1)))
+    for cls in (MonotoneConjunction, ParityFunction):
+        built = cls((3, 1))
+        assert built == cls.from_mask(0b101)
+        assert hash(built) == hash(cls.from_mask(0b101))
+    assert c != ParityFunction({1, 3})
+    for v in (200, 1000000):
+        for f, text in ((conj(v), f"x{v}"),
+                        (ParityFunction({v}), f"parity(x{v})")):
+            assert (f.literals, f.size, f.max_literal) == (frozenset({v}), 1, v)
+            assert f.mask == 1 << (v - 1)
+            assert f.canonical() == text
 
 
 class TestParity:

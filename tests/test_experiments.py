@@ -248,6 +248,19 @@ class TestRedundancyBias:
             run_redundancy_bias(dnf((1, 2), (1, 3)), 0.2, 0, 0, n=6)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("run", [run_conjunction_evolvability,
+                                 run_structural_vs_functional, run_parity,
+                                 run_redundancy_bias])
+def test_master_seed_outside_64_bits_refused(run, seed, monkeypatch):
+    def no_trials(fn, count):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "_map_trials", no_trials)
+    with pytest.raises(ParameterError, match="64 bits"):
+        run(trials=1, seed=seed, g=2, s=200)
+
+
 class TestRandomSubset:
     def test_deterministic(self):
         assert _random_subset(9, 10, 3) == _random_subset(9, 10, 3)

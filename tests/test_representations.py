@@ -31,6 +31,16 @@ def lit_sets(neighborhood):
     return [r.literals for r in neighborhood]
 
 
+def documented_order(vars_, n, q):
+    """Self, additions (below the cap q), removals, then swaps by
+    (removed, added), each by ascending variable."""
+    present = sorted(vars_)
+    absent = [v for v in range(1, n + 1) if v not in vars_]
+    adds = [vars_ | {v} for v in absent] if len(vars_) < q else []
+    return ([vars_] + adds + [vars_ - {v} for v in present]
+            + [vars_ - {u} | {w} for u in present for w in absent])
+
+
 class TestNeighborhood:
     def test_empty_conjunction(self):
         nb = conj_neighborhood(conj(), 3, 3)
@@ -53,6 +63,11 @@ class TestNeighborhood:
                     assert len(nb) == 1 + (n - v) + v + v * (n - v)
                     assert len(set(lit_sets(nb))) == len(nb)
                     assert nb[0] is r
+                    for q in range(1, n + 1):
+                        nb = conj_neighborhood(r, n, q)
+                        assert lit_sets(nb) == documented_order(
+                            frozenset(subset), n, q)
+                        assert all(type(x) is MonotoneConjunction for x in nb)
 
     def test_cap_suppresses_additions(self):
         nb = conj_neighborhood(conj(1, 2), 4, 2)
