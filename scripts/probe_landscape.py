@@ -12,11 +12,16 @@ Examples:
 """
 import argparse
 import sys
+from pathlib import Path
 
-from evoforge.boolfn import MonotoneConjunction
-from evoforge.engine import CorrelationFitness, default_params
-from evoforge.funcspec import parse_function
-from evoforge.representations import default_neigh_cap, evolve_conjunction
+# run from a checkout, uninstalled
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from evoforge.boolfn import MonotoneConjunction  # noqa: E402
+from evoforge.engine import CorrelationFitness, default_params  # noqa: E402
+from evoforge.funcspec import parse_function  # noqa: E402
+from evoforge.representations import (  # noqa: E402
+    default_neigh_cap, evolve_conjunction)
 
 
 def run(argv=None) -> int:

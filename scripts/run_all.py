@@ -10,9 +10,12 @@ import sys
 import time
 from pathlib import Path
 
-from evoforge.cli import main as evoforge_main
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # run from a checkout, uninstalled
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+from evoforge.cli import main as evoforge_main  # noqa: E402
+
+CONFIG_DIR = ROOT / "configs"
 
 
 def run(argv=None) -> int:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import io
 import json
 import os
@@ -34,22 +33,9 @@ def _fmt(v) -> str:
 
 
 def experiment_kwargs(cfg: RunConfig) -> dict:
-    """Turn a parsed config into keyword arguments for its experiment.
-
-    An experiment accepts the parameters of its run_* function, plus 'k'
-    wherever it takes a target; parse_config has checked 'k' against that
-    target, so it is dropped here.  An option the config leaves out takes
-    its run_* default.
-    """
-    if cfg.experiment not in REGISTRY:
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}; choose "
-                          f"from {', '.join(sorted(REGISTRY))}")
-    params = inspect.signature(REGISTRY[cfg.experiment]).parameters
-    for key in cfg.options:
-        if key not in params and not (key == "k" and "target" in params):
-            raise ConfigError(
-                f"key {key!r} does not apply to experiment "
-                f"{cfg.experiment!r}")
+    """The keyword arguments of a parsed config's run_* function: its
+    options less 'k', which parse_config has checked against the target.
+    An option the config leaves out takes its run_* default."""
     return {key: val for key, val in cfg.options.items() if key != "k"}
 
 
@@ -127,12 +113,9 @@ def cmd_run(args) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        cfg = parse_config(text)
-        for key in ("seed", "trials"):
-            val = getattr(args, key)
-            if val is not None:
-                check_range(key, val)
-                cfg.options[key] = val
+        cfg = parse_config(text, {key: getattr(args, key)
+                                  for key in ("seed", "trials")
+                                  if getattr(args, key) is not None})
         kwargs = experiment_kwargs(cfg)
         report = REGISTRY[cfg.experiment](**kwargs)
     except _CONFIG_ERRORS as exc:

@@ -9,17 +9,20 @@ Example:
     trials = 50
     seed = 7
 
-The keys are `experiment`, `out` (the output directory), `k` (a
-clause-count assertion on the target) and the parameters of the
-experiments' run_* functions, whose annotations give each value's type.
-Unknown and duplicate keys are rejected with their line number, as are
-type and range violations; `n` must be in 1..63, the range the sampler
-draws.  Values never contain '#'.
+`experiment` names a run_* function in experiments.REGISTRY.  The other
+keys are `out` (the output directory), `k` (a clause-count assertion,
+wherever the experiment takes a target) and the parameters of that one
+function, whose annotations give each value's type.  Each key is read
+once, against that function: an unknown experiment, a key it does not
+take, a duplicate, and a type or range violation are each rejected with
+their line number.  `n` must be in 1..63, the range the sampler draws.
+Ranges that depend on another option or on the experiment are left to
+the run_* function, which refuses them before any trial.  Values never contain '#'.
 """
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import get_args, get_type_hints
 
@@ -36,29 +39,16 @@ class RunConfig:
     and where its outputs go.  An option left out takes its run_* default."""
 
     experiment: str
-    options: dict = field(default_factory=dict)
-    out: str | None = None
+    options: dict
+    out: str | None
 
 
-def _key_types() -> dict:
-    """Each key's type: a run_* parameter's annotation, less the None of
-    an optional one."""
-    types = {"experiment": str, "out": str, "k": int}
-    for fn in REGISTRY.values():
-        hints = get_type_hints(fn)
-        del hints["return"]
-        for key, hint in hints.items():
-            args = get_args(hint)
-            types[key] = args[0] if type(None) in args else hint
-    return types
-
-
-_TYPES = _key_types()
-KNOWN_KEYS = tuple(_TYPES)
-
-
-def _convert(key: str, text: str, line: int):
-    kind = _TYPES[key]
+def _convert(key: str, kind, text: str, line: int):
+    """text as the type kind: a run_* annotation, less the None of an
+    optional parameter."""
+    args = get_args(kind)
+    if type(None) in args:
+        kind = args[0]
     if kind is str:
         return text
     if kind in (int, float):
@@ -106,9 +96,12 @@ def check_range(key: str, val, line: int | None = None) -> None:
     raise ConfigError(msg, line)
 
 
-def parse_config(text: str) -> RunConfig:
-    values: dict = {}
-    lines: dict = {}
+def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
+    """Read config text against its experiment's run_* signature.
+
+    overrides (the command line's --seed and --trials) replace the
+    file's values and get the same checks, with no line number."""
+    entries: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -118,31 +111,45 @@ def parse_config(text: str) -> RunConfig:
                               lineno)
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"unknown key {key!r}", lineno)
-        if key in values:
+        if key in entries:
             raise ConfigError(f"duplicate key {key!r}", lineno)
         if not value:
             raise ConfigError(f"empty value for {key!r}", lineno)
-        values[key] = _convert(key, value, lineno)
-        check_range(key, values[key], lineno)
-        lines[key] = lineno
+        entries[key] = (value, lineno)
 
-    if "experiment" not in values:
+    if "experiment" not in entries:
         raise ConfigError("missing required key 'experiment'")
-    cfg = RunConfig(values.pop("experiment"), out=values.pop("out", None),
-                    options=values)
+    name, line = entries.pop("experiment")
+    run = REGISTRY.get(name)
+    if run is None:
+        raise ConfigError(f"unknown experiment {name!r}; choose from "
+                          f"{', '.join(sorted(REGISTRY))}", line)
+    out = entries.pop("out", (None, None))[0]
+    kinds = get_type_hints(run)
+    kinds.pop("return", None)
+    if "target" in kinds:
+        kinds["k"] = int
+    options, lines = {}, {}
+    extra = [(key, (val, None)) for key, val in (overrides or {}).items()]
+    for key, (value, line) in [*entries.items(), *extra]:
+        if key not in kinds:
+            raise ConfigError(f"key {key!r} does not apply to experiment "
+                              f"{name!r}", line)
+        if isinstance(value, str):  # an override comes typed
+            value = _convert(key, kinds[key], value, line)
+        check_range(key, value, line)
+        options[key] = value
+        lines[key] = line
 
     # n and k are checked against the target the run will use: the
     # configured one, else the experiment's default.
-    run = REGISTRY.get(cfg.experiment)
-    param = inspect.signature(run).parameters.get("target") if run else None
-    target = values.get("target", param.default if param else None)
+    param = inspect.signature(run).parameters.get("target")
+    target = options.get("target", param.default if param else None)
     if target is not None:
-        if "n" in values and target.max_literal > values["n"]:
+        if "n" in options and target.max_literal > options["n"]:
             raise ConfigError(f"target references x{target.max_literal} but "
-                              f"n = {values['n']}", lines["n"])
-        if "k" in values and values["k"] != target.k:
-            raise ConfigError(f"k = {values['k']} but target has {target.k} "
+                              f"n = {options['n']}", lines["n"])
+        if "k" in options and options["k"] != target.k:
+            raise ConfigError(f"k = {options['k']} but target has {target.k} "
                               "clause(s)", lines["k"])
-    return cfg
+    return RunConfig(name, options, out)

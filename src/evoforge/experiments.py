@@ -19,7 +19,7 @@ from .boolfn import (MonotoneConjunction, MonotoneDnf, OutputConvention,
 from .engine import EvolutionTrace, default_params
 from .errors import ConfigError, ParameterError
 from .perf import Aggregator, gen_perf, term_perf_matrix
-from .representations import (TermFitness, default_neigh_cap,
+from .representations import (ConjunctionClass, TermFitness,
                               evolve_conjunction, evolve_kdnf)
 from .rng import check_dim, derive_seed, uniform_unit
 
@@ -159,16 +159,19 @@ def _dnf_n(n: int | None, target: MonotoneDnf) -> int:
 
 
 def _evolution_setup(n: int, epsilon: float, t: float | None, s: int | None,
-                     g: int | None, q: int | None, seed: int) -> tuple:
+                     g: int | None, q: int | None, seed: int, trials: int,
+                     min_trials: int) -> tuple:
     """Stock params at the master seed, and the t/s/g/q/neigh_cap tail of
-    a report's params.  Each trial runs replace(params0, seed=...).  An n
-    the sampler cannot draw, or a seed outside 64 bits, is refused here,
-    before any trial or table."""
-    cap = default_neigh_cap(n)
-    params0 = default_params(n, epsilon, cap, seed, t=t, s=s, g=g)
+    a report's params.  Each trial runs replace(params0, seed=...).  Fewer
+    than min_trials trials, an n the sampler cannot draw, a q outside 1..n
+    or a seed outside 64 bits is refused here, before any trial or table."""
+    if trials < min_trials:
+        raise ParameterError(f"trials must be >= {min_trials}, got {trials}")
+    cls = ConjunctionClass(n, q)  # as each trial builds it
+    params0 = default_params(n, epsilon, cls.neigh_cap, seed, t=t, s=s, g=g)
     check_dim(n)
     return params0, {"t": params0.t, "s": params0.s, "g": params0.g,
-                     "q": q if q is not None else n, "neigh_cap": cap}
+                     "q": cls.q, "neigh_cap": cls.neigh_cap}
 
 
 def _run_trials(trial, count: int) -> tuple[list, list]:
@@ -236,9 +239,7 @@ def run_conjunction_evolvability(n: int = 10, target_size: int = 3,
     """Success rate of conjunction evolution against random targets."""
     if not 0 <= target_size <= n:
         raise ParameterError(f"target size {target_size} outside 0..{n}")
-    if trials < 0:
-        raise ParameterError(f"trials must be >= 0, got {trials}")
-    params0, tail = _evolution_setup(n, epsilon, t, s, g, q, seed)
+    params0, tail = _evolution_setup(n, epsilon, t, s, g, q, seed, trials, 0)
     budget = params0.g * (tail["neigh_cap"] + 1) * params0.s
 
     def one(i: int):
@@ -295,14 +296,13 @@ def run_structural_vs_functional(target: MonotoneDnf = COUNTEREXAMPLE_TARGET,
     at least two clauses.  aggregator is only recorded in the report's
     params.
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
     if target.k < 2:
         raise ParameterError(
             "structural_vs_functional needs a target of >= 2 clauses, as its "
             f"max-above-min check compares clauses; got {target.canonical()}")
     n_eff = _dnf_n(n, target)
-    params0, tail = _evolution_setup(n_eff, epsilon, t, s, g, q, seed)
+    params0, tail = _evolution_setup(n_eff, epsilon, t, s, g, q, seed,
+                                     trials, 1)
 
     def one(i: int):
         res = evolve_kdnf(target, replace(params0, seed=derive_seed(seed, i)),
@@ -354,10 +354,8 @@ def run_parity(n: int = 10, parity_size: int = 4, epsilon: float = 0.5,
     if not 3 <= parity_size <= n:
         raise ParameterError(
             f"parity size must be in 3..{n}, got {parity_size}")
-    if trials < 0:
-        raise ParameterError(f"trials must be >= 0, got {trials}")
     target = ParityFunction(frozenset(range(1, parity_size + 1)))
-    params0, tail = _evolution_setup(n, epsilon, t, s, g, q, seed)
+    params0, tail = _evolution_setup(n, epsilon, t, s, g, q, seed, trials, 0)
     threshold = 1 - epsilon
 
     def one(i: int):
@@ -459,28 +457,26 @@ def run_redundancy_bias(target: MonotoneDnf = REDUNDANCY_TARGET,
     """
     from .funcspec import parse_dnf
 
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
     shared = any(a.mask & b.mask for a, b in combinations(target.clauses, 2))
     if not shared:
         raise ConfigError(
             "redundancy target needs >= 2 clauses sharing a literal; "
             f"got {target.canonical()}")
     n_eff = _dnf_n(n, target)
-    params0, tail = _evolution_setup(n_eff, epsilon, t, s, g, q, seed)
+    params0, tail = _evolution_setup(n_eff, epsilon, t, s, g, q, seed,
+                                     trials, 1)
     control = _disjoint_control(target, n_eff)
-
-    def nearest_clause(conj: MonotoneConjunction, tgt: MonotoneDnf) -> int:
-        vals = [exact_perf(conj, c, n_eff, OutputConvention.SIGNED)
-                for c in tgt.clauses]
-        return max(range(len(vals)), key=lambda i: (vals[i], -i))
 
     def run_variant(tgt: MonotoneDnf, variant: int):
         def one(i: int):
             res = evolve_kdnf(
                 tgt, replace(params0, seed=derive_seed(seed, variant, i)),
                 term_fitness="best_any", q=q)
-            assigned = [nearest_clause(c, tgt) for c in res.result.clauses]
+            # each evolved clause j goes to its best target clause i,
+            # the lowest i on a tie
+            m = res.matrix.entries
+            assigned = [max(range(len(m)), key=lambda i: (m[i][j], -i))
+                        for j in range(len(m))]
             return {
                 "trial": variant * trials + i,
                 "result": res.result.canonical(),

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import platform
@@ -13,7 +14,7 @@ from evoforge.boolfn import (MonotoneConjunction, MonotoneDnf,
                              ParityFunction)
 from evoforge.cli import (_fmt, experiment_kwargs, main, report_json_text,
                           summary_text, trace_csv_text)
-from evoforge.config import KNOWN_KEYS, parse_config
+from evoforge.config import parse_config
 from evoforge.engine import EvolutionParams
 from evoforge.errors import ConfigError
 from evoforge.experiments import (COUNTEREXAMPLE_TARGET, REGISTRY,
@@ -106,7 +107,8 @@ out = results
 
     @pytest.mark.parametrize("text,fragment", [
         ("experiment = parity\nbogus\n", "line 2"),
-        ("experiment = parity\nbogus = 1\n", "unknown key"),
+        ("experiment = parity\nbogus = 1\n",
+         "line 2: key 'bogus' does not apply"),
         ("experiment = parity\nn = 5\nn = 6\n", "duplicate"),
         ("experiment = parity\nn =\n", "empty value"),
         ("experiment = parity\nn = five\n", "integer"),
@@ -117,12 +119,17 @@ out = results
         ("experiment = parity\nn = 64\n", "line 2"),
         ("experiment = parity\ng = -1\n", "g must be >= 0"),
         ("experiment = parity\nseed = -2\n", "64 bits"),
-        ("experiment = x\naggregator = best\n", "unknown aggregator"),
-        ("experiment = x\nterm_fitness = solo\n", "paired or best_any"),
-        ("experiment = x\nformats = json\n", "unknown key"),
-        ("experiment = x\ntarget = x0&x1\n", "line 2"),
-        ("experiment = x\nn = 8\ntarget = x9\n", "references x9"),
-        ("experiment = x\nk = 2\ntarget = x1 | x2 | x3\n", "3 clause"),
+        ("experiment = structural_vs_functional\naggregator = best\n",
+         "unknown aggregator"),
+        ("experiment = structural_vs_functional\nterm_fitness = solo\n",
+         "paired or best_any"),
+        ("experiment = parity\nformats = json\n",
+         "line 2: key 'formats' does not apply"),
+        ("experiment = redundancy_bias\ntarget = x0&x1\n", "line 2"),
+        ("experiment = redundancy_bias\nn = 8\ntarget = x9\n",
+         "references x9"),
+        ("experiment = redundancy_bias\nk = 2\ntarget = x1 | x2 | x3\n",
+         "3 clause"),
         ("n = 5\n", "missing required key"),
     ])
     def test_rejects(self, text, fragment):
@@ -140,9 +147,10 @@ class TestExperimentKwargs:
     def test_counterexample_accepts_nothing(self):
         cfg = parse_config("experiment = counterexample\n")
         assert experiment_kwargs(cfg) == {}
-        cfg = parse_config("experiment = counterexample\nseed = 3\n")
-        with pytest.raises(ConfigError, match="does not apply"):
-            experiment_kwargs(cfg)
+        with pytest.raises(ConfigError) as exc:
+            parse_config("experiment = counterexample\nseed = 3\n")
+        assert str(exc.value) == ("line 2: key 'seed' does not apply to "
+                                  "experiment 'counterexample'")
 
     # The stock values each experiment runs with when its config sets
     # nothing; the run_* signatures declare them.
@@ -177,9 +185,9 @@ class TestExperimentKwargs:
         assert {key: report["params"][key] for key in want} == want
 
     def test_shared_parameters_have_one_type(self):
-        # the config converts a key by its annotation, less the None of an
-        # optional parameter, so a name shared by several run_* functions
-        # must convert to one type in all of them
+        # the README's config table gives each key one meaning, so a name
+        # shared by several run_* functions has one type in all of them,
+        # its annotation less the None of an optional parameter
         types = {}
         for fn in REGISTRY.values():
             for key, hint in get_type_hints(fn).items():
@@ -231,9 +239,12 @@ class TestExperimentKwargs:
         assert message in capsys.readouterr().err
 
     def test_unknown_experiment(self):
-        cfg = parse_config("experiment = warp\n")
-        with pytest.raises(ConfigError, match="unknown experiment"):
-            experiment_kwargs(cfg)
+        with pytest.raises(ConfigError) as exc:
+            parse_config("# pad\nexperiment = warp\n")
+        assert str(exc.value) == (
+            "line 2: unknown experiment 'warp'; choose from "
+            "conjunction_evolvability, counterexample, parity, "
+            "redundancy_bias, structural_vs_functional")
 
     EVOLUTION_KEYS = {"epsilon", "trials", "seed", "t", "s", "g", "q"}
 
@@ -251,7 +262,9 @@ class TestExperimentKwargs:
                   "parity_size": "3", "aggregator": "max",
                   "term_fitness": "paired", "t": "0.01", "s": "10", "g": "1",
                   "q": "2", "trials": "1", "seed": "1"}
-        assert set(values) == set(KNOWN_KEYS) - {"experiment", "out"}
+        params = {key for fn in REGISTRY.values()
+                  for key in inspect.signature(fn).parameters}
+        assert set(values) == params | {"k"}
         accepted = set()
         for key, value in values.items():
             try:

@@ -261,6 +261,19 @@ def test_master_seed_outside_64_bits_refused(run, seed, monkeypatch):
         run(trials=1, seed=seed, g=2, s=200)
 
 
+@pytest.mark.parametrize("q", [0, 9])
+@pytest.mark.parametrize("run", [run_conjunction_evolvability,
+                                 run_structural_vs_functional, run_parity,
+                                 run_redundancy_bias])
+def test_size_cap_outside_1_to_n_refused(run, q, monkeypatch):
+    def no_trials(fn, count):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "_map_trials", no_trials)
+    with pytest.raises(ParameterError, match="size cap must be in 1..8"):
+        run(n=8, q=q, trials=1, g=2, s=200)
+
+
 class TestRandomSubset:
     def test_deterministic(self):
         assert _random_subset(9, 10, 3) == _random_subset(9, 10, 3)

@@ -11,6 +11,8 @@ kernel is compiled here with every warning an error, which the loader's
 own build does not ask for.
 """
 import importlib.util
+import inspect
+import os
 import re
 import shutil
 import subprocess
@@ -20,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from evoforge import _kernels
-from evoforge.config import KNOWN_KEYS
+from evoforge.experiments import REGISTRY
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -98,13 +100,27 @@ def test_probe_landscape_runs(capsys):
     assert sampled[-1].startswith("perf evals ")
 
 
+@pytest.mark.parametrize("script", ["scripts/run_all.py",
+                                    "scripts/probe_landscape.py"])
+def test_script_runs_from_a_checkout(script, tmp_path):
+    # no install and no PYTHONPATH: the script finds the package under src/
+    env = {key: val for key, val in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(ROOT / script), "--help"],
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage:")
+
+
 def test_readme_config_table_lists_every_key():
     readme = (ROOT / "README.md").read_text()
     table = readme.split("| key | meaning |\n| --- | --- |\n", 1)[1]
     rows = table.split("\n\n", 1)[0].splitlines()
     keys = [key for row in rows
             for key in re.findall(r"`(\w+)`", row.split("|")[1])]
-    assert sorted(keys) == sorted(KNOWN_KEYS)
+    params = {key for fn in REGISTRY.values()
+              for key in inspect.signature(fn).parameters}
+    assert sorted(keys) == sorted(params | {"experiment", "out", "k"})
 
 
 def test_readme_library_example_runs(capsys):
