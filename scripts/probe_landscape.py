@@ -19,6 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from evoforge.boolfn import MonotoneConjunction  # noqa: E402
 from evoforge.engine import CorrelationFitness, default_params  # noqa: E402
+from evoforge.errors import EvoforgeError  # noqa: E402
 from evoforge.funcspec import parse_function  # noqa: E402
 from evoforge.representations import (  # noqa: E402
     default_neigh_cap, evolve_conjunction)
@@ -35,14 +36,19 @@ def run(argv=None) -> int:
     parser.add_argument("--s", type=int, help="sample count override")
     args = parser.parse_args(argv)
 
-    target = parse_function(args.target)
-    params = default_params(args.n, args.epsilon, default_neigh_cap(args.n),
-                            seed=args.seed, g=args.g, s=args.s)
-    if isinstance(target, MonotoneConjunction):
-        fitness, mode = CorrelationFitness(target, exact_mode=True), "exact"
-    else:
-        fitness, mode = None, f"sampled (s={params.s})"
-    trace = evolve_conjunction(target, params, fitness=fitness)
+    try:
+        target = parse_function(args.target)
+        params = default_params(args.n, args.epsilon,
+                                default_neigh_cap(args.n), seed=args.seed,
+                                g=args.g, s=args.s)
+        if isinstance(target, MonotoneConjunction):
+            fitness, mode = CorrelationFitness(target, exact_mode=True), "exact"
+        else:
+            fitness, mode = None, f"sampled (s={params.s})"
+        trace = evolve_conjunction(target, params, fitness=fitness)
+    except EvoforgeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     print(f"target {target.canonical()}  n={params.n}  eps={params.epsilon}  "
           f"t={params.t}  mode={mode}")

@@ -33,8 +33,8 @@ import tempfile
 import threading
 from importlib import resources
 
-from .errors import ParameterError
-from .rng import BLOCK, MASK64, check_dim, sample_blocks
+from .errors import ParameterError, check_range
+from .rng import BLOCK, MASK64, sample_blocks
 
 _FLAGS = ("-O3", "-shared", "-fPIC")
 
@@ -69,7 +69,9 @@ def _build(source: bytes, compiler: str, path: str) -> None:
         done = subprocess.run([compiler, *_FLAGS, "-o", tmp, "-x", "c", "-"],
                               input=source, capture_output=True)
         if done.returncode:
-            raise OSError(f"{compiler} exited {done.returncode}")
+            first = done.stderr.decode(errors="replace").partition("\n")[0]
+            raise OSError(f"{compiler} exited {done.returncode}"
+                          + (f": {first}" if first else ""))
         os.replace(tmp, path)
     finally:
         with contextlib.suppress(FileNotFoundError):
@@ -91,24 +93,25 @@ def _bind(path: str):
 
 
 def _load_compiled():
-    """(the compiled `count` function of _count.c, its library's path), or
-    (None, None) when there is no compiler, the compile fails, the cache
-    cannot be written or the library does not load.  A cache hit starts no
-    process."""
+    """(the compiled `count` function of _count.c, its library's path,
+    None), or (None, None, why not) when there is no compiler, the compile
+    fails, the cache cannot be written or the library does not load.  A
+    cache hit starts no process."""
     try:
         source = resources.files(__package__).joinpath("_count.c").read_bytes()
         compiler = _compiler()
         if compiler is None:
-            return None, None
+            return None, None, f"{os.environ.get('CC') or 'cc'} not found"
         path = _library_path(source, compiler)
         if not os.path.exists(path):
             _build(source, compiler, path)
-        return _bind(path), path
-    except (OSError, AttributeError):
-        return None, None
+        return _bind(path), path, None
+    except (OSError, AttributeError) as exc:
+        return None, None, str(exc)
 
 
-_count_c, LIBRARY = _load_compiled()
+# FALLBACK says why the numpy fallback runs; None on the compiled backend.
+_count_c, LIBRARY, FALLBACK = _load_compiled()
 BACKEND = "numpy" if _count_c is None else "c"
 # perfbench/run.py reads HAVE_NUMBA as "a compiled loop draws its points
 # inline", which the C loop does; kept until the benchmark reads BACKEND.
@@ -197,13 +200,12 @@ def _count(seed: int, s: int, a: tuple, parity_a: bool, b: tuple,
            parity_b: bool, n: int) -> tuple[int, int, int]:
     """_count_blocks, on the backend BACKEND names, for arguments both
     backends take: the compiled one reads each as a 64-bit word, s signed."""
-    check_dim(n)
+    check_range("n", n)
+    check_range("seed", seed)
     if not a or not b:
         raise ParameterError("a side of the count needs at least one mask")
     if not 0 <= s < 1 << 63:
         raise ParameterError(f"sample count must be in 0..2^63-1, got {s}")
-    if not 0 <= seed <= MASK64:
-        raise ParameterError(f"seed must fit in 64 bits, got {seed}")
     if min(*a, *b) < 0 or max(*a, *b) > MASK64:
         raise ParameterError("every mask must fit in 64 bits")
     kernel = _count_compiled if BACKEND == "c" else _count_blocks

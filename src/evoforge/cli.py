@@ -3,7 +3,8 @@
 run executes a configured experiment and writes report.json, trace.csv,
 and summary.txt into the output directory.  Exit codes: 0 all golden
 checks passed, 1 golden-check failure, 2 configuration problem.  info
-prints which count backend runs and what it was built with.
+prints which count backend runs, what it was built with, and why it fell
+back to numpy if it did.
 """
 from __future__ import annotations
 
@@ -17,9 +18,10 @@ from pathlib import Path
 
 from . import __version__, _kernels
 from .boolfn import OutputConvention, exact_perf
-from .config import RunConfig, check_range, parse_config
+from .config import RunConfig, parse_config
 from .errors import (ConfigError, DimensionMismatchError,
-                     EnumerationBudgetError, KMismatchError, ParameterError)
+                     EnumerationBudgetError, KMismatchError, ParameterError,
+                     check_range)
 from .experiments import REGISTRY, ExperimentReport
 from .funcspec import parse_function
 from .perf import SampleSpec, empirical_perf
@@ -179,6 +181,7 @@ def cmd_info(_args) -> int:
             ("backend", _kernels.BACKEND),
             ("compiler", _kernels._compiler() or "none"),
             ("library", _kernels.LIBRARY or "none"),
+            ("fallback", _kernels.FALLBACK or "none"),
             ("python", platform.python_version()),
             ("numpy", np.__version__),
             ("cpus", os.cpu_count()),

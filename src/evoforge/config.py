@@ -14,10 +14,15 @@ keys are `out` (the output directory), `k` (a clause-count assertion,
 wherever the experiment takes a target) and the parameters of that one
 function, whose annotations give each value's type.  Each key is read
 once, against that function: an unknown experiment, a key it does not
-take, a duplicate, and a type or range violation are each rejected with
-their line number.  `n` must be in 1..63, the range the sampler draws.
-Ranges that depend on another option or on the experiment are left to
-the run_* function, which refuses them before any trial.  Values never contain '#'.
+take, a duplicate, a value of the wrong type, and a value outside the
+range errors.check_range gives its key are each rejected with their
+line number.  Those ranges are n in 1..63, epsilon in (0,1), t > 0,
+s in 1..2^63-1, g >= 0, seed in 64 bits, trials, target_size and
+parity_size >= 0, and k and q >= 1.  Ranges that depend on another
+option or on the experiment are left to the run_* function, which
+refuses them before any trial: q at most n and at least the target's
+largest clause, target_size at most n, parity_size in 3..n.  Values
+never contain '#'.
 """
 from __future__ import annotations
 
@@ -27,10 +32,9 @@ from enum import Enum
 from typing import get_args, get_type_hints
 
 from .boolfn import MonotoneConjunction, MonotoneDnf
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError, check_range
 from .experiments import REGISTRY
 from .funcspec import parse_function
-from .rng import MASK64
 
 
 @dataclass
@@ -77,25 +81,6 @@ def _convert(key: str, kind, text: str, line: int):
     return kind(text) if is_enum else text
 
 
-def check_range(key: str, val, line: int | None = None) -> None:
-    """Raise ConfigError when val is outside the legal range of key."""
-    if key == "epsilon" and not 0 < val < 1:
-        msg = f"epsilon must be in (0,1), got {val}"
-    elif key == "t" and val <= 0:
-        msg = f"t must be > 0, got {val}"
-    elif key in ("n", "k", "s", "q") and val < 1:
-        msg = f"{key} must be >= 1, got {val}"
-    elif key == "n" and val > 63:  # rng.check_dim's range
-        msg = f"n must be <= 63, got {val}"
-    elif key in ("g", "trials", "target_size", "parity_size") and val < 0:
-        msg = f"{key} must be >= 0, got {val}"
-    elif key == "seed" and not 0 <= val <= MASK64:
-        msg = f"seed must fit in 64 bits, got {val}"
-    else:
-        return
-    raise ConfigError(msg, line)
-
-
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     """Read config text against its experiment's run_* signature.
 
@@ -137,7 +122,10 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
                               f"{name!r}", line)
         if isinstance(value, str):  # an override comes typed
             value = _convert(key, kinds[key], value, line)
-        check_range(key, value, line)
+        try:
+            check_range(key, value)
+        except ParameterError as exc:
+            raise ConfigError(str(exc), line)
         options[key] = value
         lines[key] = line
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .boolfn import exact_perf
-from .errors import ContractError, EnumerationBudgetError, ParameterError
+from .errors import ContractError, EnumerationBudgetError, check_range
 from .perf import SampleSpec, empirical_perf
-from .rng import MASK64, derive_seed, weighted_choice
+from .rng import derive_seed, weighted_choice
 
 # Stream tags that can never collide with a neighborhood index.
 _SELF_TAG = 1 << 40
@@ -39,18 +39,8 @@ class EvolutionParams:
     seed: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"n must be >= 1, got {self.n}")
-        if not 0 < self.epsilon < 1:
-            raise ParameterError(f"epsilon must be in (0,1), got {self.epsilon}")
-        if self.t <= 0:
-            raise ParameterError(f"tolerance must be > 0, got {self.t}")
-        if self.s < 1:
-            raise ParameterError(f"sample count must be >= 1, got {self.s}")
-        if self.g < 0:
-            raise ParameterError(f"generation budget must be >= 0, got {self.g}")
-        if not 0 <= self.seed <= MASK64:
-            raise ParameterError("seed must fit in 64 bits")
+        for key, value in vars(self).items():
+            check_range(key, value)
 
 
 def default_params(n: int, epsilon: float, neigh_cap: int, seed: int = 0,
@@ -62,15 +52,10 @@ def default_params(n: int, epsilon: float, neigh_cap: int, seed: int = 0,
     estimate within t/2 with probability at least 0.95 per run.  Each knob
     can be overridden; overrides feed into the formulas downstream of them.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    if not 0 < epsilon < 1:
-        raise ParameterError(f"epsilon must be in (0,1), got {epsilon}")
-    if neigh_cap < 1:
-        raise ParameterError(f"neighborhood cap must be >= 1, got {neigh_cap}")
     t_eff = epsilon / 8 if t is None else t
-    if t_eff <= 0:
-        raise ParameterError(f"tolerance must be > 0, got {t_eff}")
+    for key, value in (("n", n), ("epsilon", epsilon),
+                       ("neigh_cap", neigh_cap), ("t", t_eff)):
+        check_range(key, value)  # before the formulas below read them
     g_eff = math.ceil(12 * n / epsilon) if g is None else g
     if s is None:
         s_eff = math.ceil((8 / t_eff ** 2) * math.log(4 * max(g_eff, 1) * neigh_cap / 0.05))
@@ -165,8 +150,7 @@ def classify_neighborhood(current_perf: float, neighbor_perfs: list[float],
     Index j is beneficial iff perf_j >= current + t, neutral iff
     |perf_j - current| < t; everything else is deleterious and dropped.
     """
-    if t <= 0:
-        raise ParameterError(f"tolerance must be > 0, got {t}")
+    check_range("t", t)
     beneficial = [j for j, p in enumerate(neighbor_perfs)
                   if p >= current_perf + t]
     neutral = [j for j, p in enumerate(neighbor_perfs)

@@ -1,4 +1,5 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the one table of
+parameter ranges that raises ParameterError."""
 
 
 class EvoforgeError(Exception):
@@ -23,6 +24,30 @@ class ContractError(EvoforgeError):
 
 class ParameterError(EvoforgeError):
     """An evolution or experiment parameter is outside its legal range."""
+
+
+# The legal range of every parameter whose range depends on no other one,
+# keyed by its config-key name: (the test, what the message says it must).
+# n is what the packed uint64 sampler draws, and s what the compiled
+# kernel takes as an int64.
+_RANGES = {
+    "n": (lambda v: 1 <= v <= 63, "be in 1..63"),
+    "epsilon": (lambda v: 0 < v < 1, "be in (0,1)"),
+    "t": (lambda v: v > 0, "be > 0"),
+    "s": (lambda v: 1 <= v < 1 << 63, "be in 1..2^63-1"),
+    "seed": (lambda v: 0 <= v < 1 << 64, "fit in 64 bits"),
+    **dict.fromkeys(("g", "trials", "target_size", "parity_size"),
+                    (lambda v: v >= 0, "be >= 0")),
+    **dict.fromkeys(("k", "q", "neigh_cap"), (lambda v: v >= 1, "be >= 1")),
+}
+
+
+def check_range(key: str, value) -> None:
+    """Raise ParameterError when value is outside the legal range of the
+    parameter key.  A key with no range of its own passes."""
+    rule = _RANGES.get(key)
+    if rule is not None and not rule[0](value):
+        raise ParameterError(f"{key} must {rule[1]}, got {value}")
 
 
 class ConfigError(EvoforgeError):

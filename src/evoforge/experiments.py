@@ -21,7 +21,7 @@ from .errors import ConfigError, ParameterError
 from .perf import Aggregator, gen_perf, term_perf_matrix
 from .representations import (ConjunctionClass, TermFitness,
                               evolve_conjunction, evolve_kdnf)
-from .rng import check_dim, derive_seed, uniform_unit
+from .rng import derive_seed, uniform_unit
 
 # The three-singleton hypothesis that tracks this target almost perfectly
 # in correlation while sharing none of its clause structure.
@@ -160,16 +160,20 @@ def _dnf_n(n: int | None, target: MonotoneDnf) -> int:
 
 def _evolution_setup(n: int, epsilon: float, t: float | None, s: int | None,
                      g: int | None, q: int | None, seed: int, trials: int,
-                     min_trials: int) -> tuple:
+                     min_trials: int, clause_size: int) -> tuple:
     """Stock params at the master seed, and the t/s/g/q/neigh_cap tail of
     a report's params.  Each trial runs replace(params0, seed=...).  Fewer
-    than min_trials trials, an n the sampler cannot draw, a q outside 1..n
-    or a seed outside 64 bits is refused here, before any trial or table."""
+    than min_trials trials, a q outside 1..n or below clause_size (the
+    largest target clause that a trial evolves a conjunction toward), and
+    a parameter outside its own range are refused here, before any trial
+    or table."""
     if trials < min_trials:
         raise ParameterError(f"trials must be >= {min_trials}, got {trials}")
     cls = ConjunctionClass(n, q)  # as each trial builds it
+    if clause_size > cls.q:
+        raise ParameterError(f"a target clause has {clause_size} variables, "
+                             f"exceeding cap {cls.q}")
     params0 = default_params(n, epsilon, cls.neigh_cap, seed, t=t, s=s, g=g)
-    check_dim(n)
     return params0, {"t": params0.t, "s": params0.s, "g": params0.g,
                      "q": cls.q, "neigh_cap": cls.neigh_cap}
 
@@ -239,7 +243,8 @@ def run_conjunction_evolvability(n: int = 10, target_size: int = 3,
     """Success rate of conjunction evolution against random targets."""
     if not 0 <= target_size <= n:
         raise ParameterError(f"target size {target_size} outside 0..{n}")
-    params0, tail = _evolution_setup(n, epsilon, t, s, g, q, seed, trials, 0)
+    params0, tail = _evolution_setup(n, epsilon, t, s, g, q, seed, trials, 0,
+                                     target_size)
     budget = params0.g * (tail["neigh_cap"] + 1) * params0.s
 
     def one(i: int):
@@ -301,8 +306,8 @@ def run_structural_vs_functional(target: MonotoneDnf = COUNTEREXAMPLE_TARGET,
             "structural_vs_functional needs a target of >= 2 clauses, as its "
             f"max-above-min check compares clauses; got {target.canonical()}")
     n_eff = _dnf_n(n, target)
-    params0, tail = _evolution_setup(n_eff, epsilon, t, s, g, q, seed,
-                                     trials, 1)
+    params0, tail = _evolution_setup(n_eff, epsilon, t, s, g, q, seed, trials,
+                                     1, max(c.size for c in target.clauses))
 
     def one(i: int):
         res = evolve_kdnf(target, replace(params0, seed=derive_seed(seed, i)),
@@ -355,7 +360,9 @@ def run_parity(n: int = 10, parity_size: int = 4, epsilon: float = 0.5,
         raise ParameterError(
             f"parity size must be in 3..{n}, got {parity_size}")
     target = ParityFunction(frozenset(range(1, parity_size + 1)))
-    params0, tail = _evolution_setup(n, epsilon, t, s, g, q, seed, trials, 0)
+    # a conjunction of any size may chase a parity: no clause to fit under q
+    params0, tail = _evolution_setup(n, epsilon, t, s, g, q, seed, trials, 0,
+                                     0)
     threshold = 1 - epsilon
 
     def one(i: int):
@@ -463,8 +470,8 @@ def run_redundancy_bias(target: MonotoneDnf = REDUNDANCY_TARGET,
             "redundancy target needs >= 2 clauses sharing a literal; "
             f"got {target.canonical()}")
     n_eff = _dnf_n(n, target)
-    params0, tail = _evolution_setup(n_eff, epsilon, t, s, g, q, seed,
-                                     trials, 1)
+    params0, tail = _evolution_setup(n_eff, epsilon, t, s, g, q, seed, trials,
+                                     1, max(c.size for c in target.clauses))
     control = _disjoint_control(target, n_eff)
 
     def run_variant(tgt: MonotoneDnf, variant: int):

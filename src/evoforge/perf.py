@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from . import _kernels
 from .boolfn import MonotoneDnf, OutputConvention, _check_dim, exact_perf
-from .errors import KMismatchError, ParameterError
-from .rng import MASK64
+from .errors import KMismatchError, ParameterError, check_range
 
 
 @dataclass(frozen=True)
@@ -25,12 +24,8 @@ class SampleSpec:
     seed: int
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ParameterError(f"sample count must be >= 1, got {self.s}")
-        if self.s >= 1 << 63:  # the compiled kernel takes s as an int64
-            raise ParameterError(f"sample count must be < 2^63, got {self.s}")
-        if not 0 <= self.seed <= MASK64:
-            raise ParameterError("seed must fit in 64 bits")
+        check_range("s", self.s)
+        check_range("seed", self.seed)
 
 
 class Aggregator(Enum):

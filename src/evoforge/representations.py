@@ -13,7 +13,7 @@ from typing import Literal, get_args
 from .boolfn import MonotoneConjunction, MonotoneDnf, exact_perf
 from .engine import (CorrelationFitness, EvalCounters, EvolutionParams,
                      EvolutionTrace, RepresentationClass, evolve)
-from .errors import ParameterError
+from .errors import ParameterError, check_range
 from .perf import (Aggregator, PerfMatrix, SampleSpec, empirical_perf,
                    gen_perf, term_perf_matrix)
 from .rng import derive_seed
@@ -61,8 +61,7 @@ class ConjunctionClass(RepresentationClass):
     add/remove/swap moves.  A representation is the conjunction itself."""
 
     def __init__(self, n: int, q: int | None = None):
-        if n < 1:
-            raise ParameterError(f"n must be >= 1, got {n}")
+        check_range("n", n)
         self.n = n
         self.q = n if q is None else q
         if not 1 <= self.q <= n:

@@ -13,7 +13,7 @@ from collections.abc import Iterator
 from functools import cache
 from typing import TYPE_CHECKING
 
-from .errors import ParameterError
+from .errors import check_range
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,7 +63,7 @@ def sample_assignments(seed: int, count: int, n: int) -> np.ndarray:
     """
     import numpy as np
 
-    check_dim(n)
+    check_range("n", n)
     idx = np.arange(1, count + 1, dtype=np.uint64)
     z = np.uint64(seed & MASK64) + idx * np.uint64(GAMMA)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX_C1)
@@ -113,7 +113,7 @@ def sample_blocks(seed: int, count: int, n: int) -> Iterator[np.ndarray]:
     """
     import numpy as np
 
-    check_dim(n)
+    check_range("n", n)
     steps, c1, c2, s30, s27, s31 = _stream_constants()
     nested = _BUFFERS.busy
     if nested:
@@ -146,12 +146,6 @@ def sample_blocks(seed: int, count: int, n: int) -> Iterator[np.ndarray]:
     finally:
         if not nested:
             _BUFFERS.busy = False
-
-
-def check_dim(n: int) -> None:
-    """Reject cube dimensions the packed uint64 sampler cannot draw."""
-    if not 1 <= n <= 63:
-        raise ParameterError(f"n={n} outside supported sampling range 1..63")
 
 
 def weighted_choice(indices: list[int], weights: list[float], seed: int) -> int:

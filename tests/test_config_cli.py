@@ -15,11 +15,12 @@ from evoforge.boolfn import (MonotoneConjunction, MonotoneDnf,
 from evoforge.cli import (_fmt, experiment_kwargs, main, report_json_text,
                           summary_text, trace_csv_text)
 from evoforge.config import parse_config
-from evoforge.engine import EvolutionParams
-from evoforge.errors import ConfigError
+from evoforge.engine import EvolutionParams, default_params
+from evoforge.errors import ConfigError, ParameterError
 from evoforge.experiments import (COUNTEREXAMPLE_TARGET, REGISTRY,
                                   ExperimentReport, _trace_rows,
-                                  golden_check, run_counterexample)
+                                  golden_check, run_counterexample,
+                                  run_parity)
 from evoforge.funcspec import (parse_conjunction, parse_dnf, parse_function,
                                parse_parity)
 from evoforge.perf import Aggregator, SampleSpec, empirical_perf
@@ -115,9 +116,10 @@ out = results
         ("experiment = parity\nepsilon = hot\n", "number"),
         ("experiment = parity\nepsilon = 1.5\n", "line 2: epsilon"),
         ("experiment = parity\nt = 0\n", "t must be > 0"),
-        ("experiment = parity\nn = 0\n", "n must be >= 1"),
+        ("experiment = parity\nn = 0\n", "n must be in 1..63"),
         ("experiment = parity\nn = 64\n", "line 2"),
         ("experiment = parity\ng = -1\n", "g must be >= 0"),
+        ("experiment = parity\ns = 9223372036854775808\n", "line 2"),
         ("experiment = parity\nseed = -2\n", "64 bits"),
         ("experiment = structural_vs_functional\naggregator = best\n",
          "unknown aggregator"),
@@ -136,6 +138,30 @@ out = results
         with pytest.raises(ConfigError) as exc:
             parse_config(text)
         assert fragment in str(exc.value)
+
+    # One bad value for each key whose range depends on no other option,
+    # passed under the same name to a library entry that takes it: both
+    # refuse it in the same words, from errors.check_range.  k is a config
+    # key only and neigh_cap a library argument only.  q, target_size and
+    # parity_size also have a range that depends on n or the target, which
+    # their run_* checks, naming the other option.
+    @pytest.mark.parametrize("library,key,value", [
+        (default_params, "n", 64), (EvolutionParams, "n", 0),
+        (default_params, "epsilon", 1.0), (default_params, "t", 0.0),
+        (EvolutionParams, "s", 1 << 63), (SampleSpec, "s", 0),
+        (EvolutionParams, "g", -1), (SampleSpec, "seed", 1 << 64),
+        (run_parity, "trials", -1),
+    ])
+    def test_range_errors_match_the_library(self, library, key, value):
+        with pytest.raises(ConfigError) as config:
+            parse_config(f"experiment = parity\n{key} = {value}\n")
+        valid = {default_params: dict(n=10, epsilon=0.1, neigh_cap=46),
+                 EvolutionParams: dict(n=10, epsilon=0.1, t=0.0125, s=100,
+                                       g=5, seed=0),
+                 SampleSpec: dict(s=10, seed=0), run_parity: {}}[library]
+        with pytest.raises(ParameterError) as lib:
+            library(**{**valid, key: value})
+        assert str(config.value) == f"line 2: {lib.value}"
 
     def test_line_numbers_reported(self):
         with pytest.raises(ConfigError) as exc:
@@ -569,9 +595,24 @@ class TestCmdInfo:
         assert rows["numpy"] == np.__version__
         assert rows["cpus"] == str(os.cpu_count())
         assert rows["EVOFORGE_THREADS"] == "2"
+        assert rows["fallback"] == (_kernels.FALLBACK or "none")
         # read-only: no option to set anything
         with pytest.raises(SystemExit):
             main(["info", "--backend", "numpy"])
+
+    def test_reports_why_it_fell_back(self, tmp_path):
+        # a compiler that fails, and an empty cache: no library to load
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src, "CC": "/bin/false",
+               "XDG_CACHE_HOME": str(tmp_path)}
+        done = subprocess.run([sys.executable, "-m", "evoforge", "info"],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        rows = dict(line.split(": ", 1) for line in done.stdout.splitlines())
+        assert rows["backend"] == "numpy"
+        assert rows["fallback"].endswith("false exited 1")
 
 
 class TestModuleEntry:

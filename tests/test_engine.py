@@ -75,7 +75,7 @@ class TestEvolutionParams:
     @pytest.mark.parametrize("kw", [
         dict(n=0), dict(epsilon=0.0), dict(epsilon=1.0), dict(epsilon=-0.2),
         dict(t=0.0), dict(t=-1.0), dict(s=0), dict(g=-1), dict(seed=-1),
-        dict(seed=MASK64 + 1),
+        dict(seed=MASK64 + 1), dict(s=1 << 63),
     ])
     def test_rejects(self, kw):
         base = dict(n=10, epsilon=0.1, t=0.0125, s=100, g=5, seed=0)
@@ -126,6 +126,8 @@ class TestDefaultParams:
             default_params(10, 0.1, 0)
         with pytest.raises(ParameterError):
             default_params(10, 0.1, 46, t=0.0)
+        with pytest.raises(ParameterError, match="n must be in 1..63"):
+            default_params(64, 0.1, 5)
 
 
 class TestClassifyNeighborhood:

@@ -248,15 +248,20 @@ class TestRedundancyBias:
             run_redundancy_bias(dnf((1, 2), (1, 3)), 0.2, 0, 0, n=6)
 
 
+@pytest.fixture
+def no_trials(monkeypatch):
+    """Fail the test if the experiment starts its trials."""
+    def stub(fn, count):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "_map_trials", stub)
+
+
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 @pytest.mark.parametrize("run", [run_conjunction_evolvability,
                                  run_structural_vs_functional, run_parity,
                                  run_redundancy_bias])
-def test_master_seed_outside_64_bits_refused(run, seed, monkeypatch):
-    def no_trials(fn, count):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(experiments, "_map_trials", no_trials)
+def test_master_seed_outside_64_bits_refused(run, seed, no_trials):
     with pytest.raises(ParameterError, match="64 bits"):
         run(trials=1, seed=seed, g=2, s=200)
 
@@ -265,13 +270,20 @@ def test_master_seed_outside_64_bits_refused(run, seed, monkeypatch):
 @pytest.mark.parametrize("run", [run_conjunction_evolvability,
                                  run_structural_vs_functional, run_parity,
                                  run_redundancy_bias])
-def test_size_cap_outside_1_to_n_refused(run, q, monkeypatch):
-    def no_trials(fn, count):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(experiments, "_map_trials", no_trials)
+def test_size_cap_outside_1_to_n_refused(run, q, no_trials):
     with pytest.raises(ParameterError, match="size cap must be in 1..8"):
         run(n=8, q=q, trials=1, g=2, s=200)
+
+
+# Each default target has a clause of 2 or 3 variables, which no trial
+# could evolve under a cap of 1; a parity has no clause to fit
+# (TestParity::test_cap_below_parity_size).
+@pytest.mark.parametrize("run,trials", [
+    (run_conjunction_evolvability, 0), (run_conjunction_evolvability, 1),
+    (run_structural_vs_functional, 1), (run_redundancy_bias, 1)])
+def test_size_cap_below_target_clause_refused(run, trials, no_trials):
+    with pytest.raises(ParameterError, match="exceeding cap 1"):
+        run(n=8, q=1, trials=trials, g=2, s=200)
 
 
 class TestRandomSubset:

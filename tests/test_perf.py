@@ -67,7 +67,7 @@ class TestSampleSpec:
         with pytest.raises(ParameterError):
             SampleSpec(10, MASK64 + 1)
         # the compiled kernel takes s as an int64, which ctypes would wrap
-        with pytest.raises(ParameterError, match="must be < 2\\^63"):
+        with pytest.raises(ParameterError, match="must be in 1..2\\^63-1"):
             SampleSpec(1 << 63, 0)
         SampleSpec(1, MASK64)
         SampleSpec((1 << 63) - 1, 0)

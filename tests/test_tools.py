@@ -98,6 +98,9 @@ def test_probe_landscape_runs(capsys):
     sampled = capsys.readouterr().out.splitlines()
     assert "mode=sampled (s=500)" in sampled[0]
     assert sampled[-1].startswith("perf evals ")
+    # a bad argument is reported as evoforge reports it, not as a traceback
+    assert probe.run(["--epsilon", "0"]) == 2
+    assert capsys.readouterr().err == "error: epsilon must be in (0,1), got 0.0\n"
 
 
 @pytest.mark.parametrize("script", ["scripts/run_all.py",
