@@ -1,10 +1,15 @@
 """Command-line front end: `evoforge run|perf|list|info`.
 
 run executes a configured experiment and writes report.json, trace.csv,
-and summary.txt into the output directory.  Exit codes: 0 all golden
-checks passed, 1 golden-check failure, 2 configuration problem.  info
-prints which count backend runs, what it was built with, and why it fell
-back to numpy if it did.
+and summary.txt into the output directory; before the first trial it
+names the count backend on stderr, with why it fell back to numpy if it
+did.  Exit codes: 0 all golden checks passed, 1 golden-check failure, 2
+configuration problem.  info prints which count backend runs, what it
+was built with, and why it fell back to numpy if it did.
+
+main(argv) may be called many times in one process: the parser is built
+on the first call and reused, and each call looks its command's handler
+up afresh.
 """
 from __future__ import annotations
 
@@ -14,6 +19,7 @@ import io
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import __version__, _kernels
@@ -119,6 +125,9 @@ def cmd_run(args) -> int:
                                   for key in ("seed", "trials")
                                   if getattr(args, key) is not None})
         kwargs = experiment_kwargs(cfg)
+        why = _kernels.FALLBACK
+        print(f"backend: {_kernels.BACKEND}"
+              + (f" (fallback: {why})" if why else ""), file=sys.stderr)
         report = REGISTRY[cfg.experiment](**kwargs)
     except _CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -191,7 +200,10 @@ def cmd_info(_args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and reused:
+    parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="evoforge",
         description="Mutation-and-selection learnability experiments on "
@@ -205,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "else evoforge_out)")
     p_run.add_argument("--seed", type=int, help="override the master seed")
     p_run.add_argument("--trials", type=int, help="override the trial count")
-    p_run.set_defaults(func=cmd_run)
 
     p_perf = sub.add_parser("perf", help="one-shot performance query")
     p_perf.add_argument("--r", required=True, help="hypothesis, e.g. "
@@ -219,17 +230,16 @@ def build_parser() -> argparse.ArgumentParser:
                       help="exact rational value (default)")
     mode.add_argument("--samples", type=int, help="Monte-Carlo sample count")
     p_perf.add_argument("--seed", type=int, help="sampling seed (default 0)")
-    p_perf.set_defaults(func=cmd_perf)
 
-    p_list = sub.add_parser("list", help="list available experiments")
-    p_list.set_defaults(func=cmd_list)
-
-    p_info = sub.add_parser("info", help="show the count backend, its build "
-                            "and the environment")
-    p_info.set_defaults(func=cmd_info)
+    sub.add_parser("list", help="list available experiments")
+    sub.add_parser("info", help="show the count backend, its build and the "
+                   "environment")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # looked up per call, so a handler replaced after the first call runs
+    handler = {"run": cmd_run, "perf": cmd_perf, "list": cmd_list,
+               "info": cmd_info}[args.command]
+    return handler(args)

@@ -154,8 +154,14 @@ def _histogram(variables) -> dict:
 
 def _dnf_n(n: int | None, target: MonotoneDnf) -> int:
     """n, or by default the smallest cube of at least 8 variables that
-    holds target."""
-    return n if n is not None else max(8, target.max_literal)
+    holds target.  An n that does not hold target is refused here, before
+    _evolution_setup checks q against it and before any trial."""
+    if n is None:
+        return max(8, target.max_literal)
+    if target.max_literal > n:
+        raise ParameterError(
+            f"target references x{target.max_literal} but n={n}")
+    return n
 
 
 def _evolution_setup(n: int, epsilon: float, t: float | None, s: int | None,

@@ -9,7 +9,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 import pytest
 
-from evoforge import _kernels, boolfn
+from evoforge import _kernels, boolfn, cli
 from evoforge.boolfn import (MonotoneConjunction, MonotoneDnf,
                              ParityFunction)
 from evoforge.cli import (_fmt, experiment_kwargs, main, report_json_text,
@@ -25,6 +25,10 @@ from evoforge.funcspec import (parse_conjunction, parse_dnf, parse_function,
                                parse_parity)
 from evoforge.perf import Aggregator, SampleSpec, empirical_perf
 from evoforge.representations import evolve_conjunction
+
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def conj(*vars_):
@@ -314,7 +318,9 @@ class TestExperimentKwargs:
                         "trials = 1\ns = 100\ng = 1\n")
         assert main(["run", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
+        # the backend line comes first when run_* itself refuses the target
+        *before, err = capsys.readouterr().err.splitlines()
+        assert before in ([], [backend_line()])
         assert err.startswith("configuration error:")
         assert target in err
         assert not (tmp_path / "out").exists()
@@ -419,6 +425,13 @@ g = 30
 """
 
 
+def backend_line():
+    line = f"backend: {_kernels.BACKEND}"
+    if _kernels.FALLBACK is not None:
+        line += f" (fallback: {_kernels.FALLBACK})"
+    return line
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -503,6 +516,28 @@ class TestCmdRun:
         cfg = write_cfg(tmp_path, CE_CONFIG + f"out = {tmp_path / 'cfgout'}\n")
         assert main(["run", "--config", cfg]) == 0
         assert (tmp_path / "cfgout" / "report.json").exists()
+
+    def test_names_the_backend_on_stderr(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, CE_CONFIG)
+        out = str(tmp_path / "o")
+        assert main(["run", "--config", cfg, "--out", out]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == backend_line() + "\n"
+        assert "backend:" not in captured.out
+
+    def test_says_why_it_fell_back(self, tmp_path):
+        # a compiler that fails, and an empty cache: no library to load
+        env = {**os.environ, "PYTHONPATH": SRC, "CC": "/bin/false",
+               "XDG_CACHE_HOME": str(tmp_path / "cache")}
+        cfg = write_cfg(tmp_path, CE_CONFIG)
+        done = subprocess.run([sys.executable, "-m", "evoforge", "run",
+                               "--config", cfg, "--out", str(tmp_path / "o")],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.startswith("backend: numpy (fallback: ")
+        assert done.stderr.endswith("false exited 1)\n")
+        assert done.stdout.endswith("counterexample: ok\n")
 
 
 class TestCmdPerf:
@@ -602,9 +637,7 @@ class TestCmdInfo:
 
     def test_reports_why_it_fell_back(self, tmp_path):
         # a compiler that fails, and an empty cache: no library to load
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src")
-        env = {**os.environ, "PYTHONPATH": src, "CC": "/bin/false",
+        env = {**os.environ, "PYTHONPATH": SRC, "CC": "/bin/false",
                "XDG_CACHE_HOME": str(tmp_path)}
         done = subprocess.run([sys.executable, "-m", "evoforge", "info"],
                               capture_output=True, text=True, env=env,
@@ -615,12 +648,45 @@ class TestCmdInfo:
         assert rows["fallback"].endswith("false exited 1")
 
 
+class TestMainCalledAgain:
+    """main(argv) in a loop, as scripts/run_all.py and the benchmark call
+    it: one parser for the process, and the handler of each call looked
+    up when it runs."""
+    QUERY = ["perf", "--r", "x1 | x2", "--f", "x1&x3", "--n", "6",
+             "--samples", "1000", "--seed", "3"]
+
+    def test_parser_built_once(self, capsys):
+        cli.build_parser.cache_clear()
+        assert main(["list"]) == 0
+        assert main(self.QUERY) == 0
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_usage_error_leaves_no_state(self, capsys):
+        cli.build_parser.cache_clear()
+        assert main(self.QUERY) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["perf", "--r", "x1", "--f", "x1", "--n", "4",
+                  "--exact", "--samples", "10"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(self.QUERY) == 0
+        assert capsys.readouterr().out == first
+
+    def test_handler_replaced_after_a_first_call_runs(self, capsys,
+                                                       monkeypatch):
+        assert main(self.QUERY) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_perf",
+                            lambda args: seen.append(args.n) or 7)
+        assert main(self.QUERY) == 7
+        assert seen == [6]
+
+
 class TestModuleEntry:
     def test_python_dash_m(self):
         # the child finds the package under src/, installed or not
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src")
-        env = {**os.environ, "PYTHONPATH": src}
+        env = {**os.environ, "PYTHONPATH": SRC}
         proc = subprocess.run([sys.executable, "-m", "evoforge", "list"],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0

@@ -286,6 +286,18 @@ def test_size_cap_below_target_clause_refused(run, trials, no_trials):
         run(n=8, q=1, trials=trials, g=2, s=200)
 
 
+# The counterexample target reaches x8 and shares x4, so both DNF runs
+# take it.  At n = 2 its 3-variable clauses also exceed the default cap
+# q = n, and n is the error reported.
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("run", [run_structural_vs_functional,
+                                 run_redundancy_bias])
+def test_n_below_target_variable_refused(run, n, no_trials):
+    with pytest.raises(ParameterError,
+                       match=f"^target references x8 but n={n}$"):
+        run(COUNTEREXAMPLE_TARGET, n=n, trials=1, g=2, s=200)
+
+
 class TestRandomSubset:
     def test_deterministic(self):
         assert _random_subset(9, 10, 3) == _random_subset(9, 10, 3)

@@ -70,6 +70,26 @@ def test_tracer_installs_and_uninstalls():
     assert [k for k, v in before.items() if after[k] is not v] == []
 
 
+def test_tracer_sees_the_cli_after_a_first_call(capsys):
+    # the benchmark's traced rounds follow untraced ones in one process
+    from evoforge import cli
+    query = ["perf", "--r", "x1 | x2", "--f", "x1&x3", "--n", "6"]
+    assert cli.main(query) == 0
+    tracer_mod = load("perfbench/tracer.py")
+    before = evoforge_state(tracer_mod.WRAPPED)
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(query) == 0
+    finally:
+        tracer.uninstall()
+    calls = tracer.totals()["calls"]
+    assert (calls["cli.main"], calls["cli.cmd_perf"]) == (1, 1)
+    after = evoforge_state(tracer_mod.WRAPPED)
+    assert after.keys() == before.keys()
+    assert [k for k, v in before.items() if after[k] is not v] == []
+
+
 def test_benchmark_worker_environment():
     # worker.py puts perfbench/ on sys.path and imports its inputs module
     path, inputs = list(sys.path), sys.modules.get("inputs")
