@@ -34,12 +34,18 @@ class OutputConvention(Enum):
     BINARY = "binary"
 
 
+# The highest variable index: the mask of x_v takes v bits, at most 2 MiB.
+VAR_MAX = 1 << 24
+
+
 def _mask_of(literals: Iterable[int]) -> int:
     """The packed mask of a variable set: bit v-1 for each x_v."""
     mask = 0
     for v in literals:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ParameterError(f"variable indices must be positive ints, got {v!r}")
+        if (not isinstance(v, int) or isinstance(v, bool)
+                or not 1 <= v <= VAR_MAX):
+            raise ParameterError(
+                f"variable indices must be ints in 1..{VAR_MAX}, got {v!r}")
         mask |= 1 << (v - 1)
     return mask
 
@@ -179,12 +185,13 @@ def truth_table(fn, n: int) -> np.ndarray:
 
 
 def _check_dim(fn, n: int) -> None:
+    """Refuse fn unless it lives in x1..xn: the one statement of that rule."""
     if not isinstance(fn, (MonotoneConjunction, MonotoneDnf, ParityFunction)):
         raise ParameterError("expected a conjunction, monotone DNF or parity, "
                              f"got {type(fn).__name__}")
     top = fn.max_literal
     if top > n:
-        raise DimensionMismatchError(f"function uses x{top} but n={n}")
+        raise DimensionMismatchError(f"{fn} uses x{top} but n={n}")
 
 
 # The closed form takes |terms(r)|·|terms(f)| steps.  Past 2^n steps, or

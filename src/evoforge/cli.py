@@ -25,9 +25,8 @@ from pathlib import Path
 from . import __version__, _kernels
 from .boolfn import OutputConvention, exact_perf
 from .config import RunConfig, parse_config
-from .errors import (ConfigError, DimensionMismatchError,
-                     EnumerationBudgetError, KMismatchError, ParameterError,
-                     check_range)
+from .errors import (ConfigError, EnumerationBudgetError, KMismatchError,
+                     ParameterError, check_range)
 from .experiments import REGISTRY, ExperimentReport
 from .funcspec import parse_function
 from .perf import SampleSpec, empirical_perf
@@ -111,7 +110,7 @@ def write_outputs(report: ExperimentReport, out_dir: Path) -> list[Path]:
 
 
 _CONFIG_ERRORS = (ConfigError, ParameterError, KMismatchError,
-                  DimensionMismatchError, EnumerationBudgetError)
+                  EnumerationBudgetError)
 
 
 def cmd_run(args) -> int:

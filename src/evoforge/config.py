@@ -14,15 +14,13 @@ keys are `out` (the output directory), `k` (a clause-count assertion,
 wherever the experiment takes a target) and the parameters of that one
 function, whose annotations give each value's type.  Each key is read
 once, against that function: an unknown experiment, a key it does not
-take, a duplicate, a value of the wrong type, and a value outside the
-range errors.check_range gives its key are each rejected with their
-line number.  Those ranges are n in 1..63, epsilon in (0,1), t > 0,
-s in 1..2^63-1, g >= 0, seed in 64 bits, trials, target_size and
-parity_size >= 0, and k and q >= 1.  Ranges that depend on another
-option or on the experiment are left to the run_* function, which
-refuses them before any trial: q at most n and at least the target's
-largest clause, target_size at most n, parity_size in 3..n.  Values
-never contain '#'.
+take, a duplicate, a value of the wrong type, a value outside the range
+errors.check_range gives its key, a target that uses a variable past
+x_n (boolfn._check_dim) and a k the target does not have are each
+rejected with their line number.  Ranges that depend on the experiment
+are left to the run_* function, which refuses them before any trial: q
+at most n and at least the target's largest clause, target_size at most
+n, parity_size in 3..n.  Values never contain '#'.
 """
 from __future__ import annotations
 
@@ -31,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import get_args, get_type_hints
 
-from .boolfn import MonotoneConjunction, MonotoneDnf
+from .boolfn import MonotoneConjunction, MonotoneDnf, _check_dim
 from .errors import ConfigError, ParameterError, check_range
 from .experiments import REGISTRY
 from .funcspec import parse_function
@@ -47,9 +45,9 @@ class RunConfig:
     out: str | None
 
 
-def _convert(key: str, kind, text: str, line: int):
+def _convert(key: str, kind, text: str):
     """text as the type kind: a run_* annotation, less the None of an
-    optional parameter."""
+    optional parameter.  parse_config adds the line to an error."""
     args = get_args(kind)
     if type(None) in args:
         kind = args[0]
@@ -60,24 +58,20 @@ def _convert(key: str, kind, text: str, line: int):
             return kind(text)
         except ValueError:
             noun = "an integer" if kind is int else "a number"
-            raise ConfigError(f"{key} must be {noun}, got {text!r}", line)
+            raise ConfigError(f"{key} must be {noun}, got {text!r}")
     if kind is MonotoneDnf:
-        try:
-            fn = parse_function(text)
-        except ConfigError as exc:
-            raise ConfigError(str(exc), line)
+        fn = parse_function(text)
         if isinstance(fn, MonotoneConjunction):
             fn = MonotoneDnf((fn,))  # a lone clause
         if not isinstance(fn, MonotoneDnf):
-            raise ConfigError(f"{key} must be a monotone DNF, got {text!r}",
-                              line)
+            raise ConfigError(f"{key} must be a monotone DNF, got {text!r}")
         return fn
     # an Enum or a Literal of strings
     is_enum = isinstance(kind, type) and issubclass(kind, Enum)
     choices = [c.value for c in kind] if is_enum else list(get_args(kind))
     if text not in choices:
         raise ConfigError(f"unknown {key} {text!r}; choose from "
-                          f"{', '.join(choices[:-1])} or {choices[-1]}", line)
+                          f"{', '.join(choices[:-1])} or {choices[-1]}")
     return kind(text) if is_enum else text
 
 
@@ -120,11 +114,11 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         if key not in kinds:
             raise ConfigError(f"key {key!r} does not apply to experiment "
                               f"{name!r}", line)
-        if isinstance(value, str):  # an override comes typed
-            value = _convert(key, kinds[key], value, line)
         try:
+            if isinstance(value, str):  # an override comes typed
+                value = _convert(key, kinds[key], value)
             check_range(key, value)
-        except ParameterError as exc:
+        except (ConfigError, ParameterError) as exc:
             raise ConfigError(str(exc), line)
         options[key] = value
         lines[key] = line
@@ -134,9 +128,11 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     param = inspect.signature(run).parameters.get("target")
     target = options.get("target", param.default if param else None)
     if target is not None:
-        if "n" in options and target.max_literal > options["n"]:
-            raise ConfigError(f"target references x{target.max_literal} but "
-                              f"n = {options['n']}", lines["n"])
+        if "n" in options:
+            try:
+                _check_dim(target, options["n"])
+            except ParameterError as exc:
+                raise ConfigError(str(exc), lines["n"])
         if "k" in options and options["k"] != target.k:
             raise ConfigError(f"k = {options['k']} but target has {target.k} "
                               "clause(s)", lines["k"])

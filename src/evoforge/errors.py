@@ -1,13 +1,12 @@
 """Exception taxonomy shared across the package, and the one table of
-parameter ranges that raises ParameterError."""
+parameter ranges that raises ParameterError.  Every error here is an
+EvoforgeError.  A function that uses a variable past x_n raises the
+ParameterError DimensionMismatchError, and a config file's failures are
+ConfigErrors, which name their line."""
 
 
 class EvoforgeError(Exception):
     """Base class for all package-specific errors."""
-
-
-class DimensionMismatchError(EvoforgeError):
-    """A function references a variable index outside the ambient dimension."""
 
 
 class EnumerationBudgetError(EvoforgeError):
@@ -24,6 +23,10 @@ class ContractError(EvoforgeError):
 
 class ParameterError(EvoforgeError):
     """An evolution or experiment parameter is outside its legal range."""
+
+
+class DimensionMismatchError(ParameterError):
+    """A function uses a variable beyond x_n (boolfn._check_dim)."""
 
 
 # The legal range of every parameter whose range depends on no other one,

@@ -10,12 +10,12 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
 from .boolfn import (MonotoneConjunction, MonotoneDnf, OutputConvention,
-                     ParityFunction, exact_perf)
+                     ParityFunction, _check_dim, exact_perf)
 from .engine import EvolutionTrace, default_params
 from .errors import ConfigError, ParameterError
 from .perf import Aggregator, gen_perf, term_perf_matrix
@@ -83,10 +83,7 @@ class ExperimentReport:
             "name": self.name,
             "params": self.params,
             "aggregates": self.aggregates,
-            "golden_checks": [
-                {"label": c.label, "expected": c.expected, "actual": c.actual,
-                 "tolerance": c.tolerance, "passed": c.passed}
-                for c in self.golden_checks],
+            "golden_checks": [asdict(c) for c in self.golden_checks],
             "all_golden_pass": self.all_golden_pass,
             "trials": self.trials,
         }
@@ -158,9 +155,7 @@ def _dnf_n(n: int | None, target: MonotoneDnf) -> int:
     _evolution_setup checks q against it and before any trial."""
     if n is None:
         return max(8, target.max_literal)
-    if target.max_literal > n:
-        raise ParameterError(
-            f"target references x{target.max_literal} but n={n}")
+    _check_dim(target, n)
     return n
 
 
@@ -169,16 +164,12 @@ def _evolution_setup(n: int, epsilon: float, t: float | None, s: int | None,
                      min_trials: int, clause_size: int) -> tuple:
     """Stock params at the master seed, and the t/s/g/q/neigh_cap tail of
     a report's params.  Each trial runs replace(params0, seed=...).  Fewer
-    than min_trials trials, a q outside 1..n or below clause_size (the
-    largest target clause that a trial evolves a conjunction toward), and
-    a parameter outside its own range are refused here, before any trial
-    or table."""
+    than min_trials trials, a q that ConjunctionClass refuses for the
+    largest target clause, clause_size, and a parameter outside its own
+    range are refused here, before any trial or table."""
     if trials < min_trials:
         raise ParameterError(f"trials must be >= {min_trials}, got {trials}")
-    cls = ConjunctionClass(n, q)  # as each trial builds it
-    if clause_size > cls.q:
-        raise ParameterError(f"a target clause has {clause_size} variables, "
-                             f"exceeding cap {cls.q}")
+    cls = ConjunctionClass(n, q, clause_size)  # as each trial builds it
     params0 = default_params(n, epsilon, cls.neigh_cap, seed, t=t, s=s, g=g)
     return params0, {"t": params0.t, "s": params0.s, "g": params0.g,
                      "q": cls.q, "neigh_cap": cls.neigh_cap}
@@ -472,7 +463,7 @@ def run_redundancy_bias(target: MonotoneDnf = REDUNDANCY_TARGET,
 
     shared = any(a.mask & b.mask for a, b in combinations(target.clauses, 2))
     if not shared:
-        raise ConfigError(
+        raise ParameterError(
             "redundancy target needs >= 2 clauses sharing a literal; "
             f"got {target.canonical()}")
     n_eff = _dnf_n(n, target)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 
-from .boolfn import MonotoneConjunction, MonotoneDnf, ParityFunction
+from .boolfn import VAR_MAX, MonotoneConjunction, MonotoneDnf, ParityFunction
 from .errors import ConfigError
 
 _VAR = re.compile(r"^x([1-9][0-9]*)$")
@@ -19,7 +19,11 @@ def _parse_var(token: str) -> int:
     m = _VAR.match(token.strip())
     if not m:
         raise ConfigError(f"expected a variable like x3, got {token.strip()!r}")
-    return int(m.group(1))
+    digits = m.group(1)  # checked before int(), which refuses 4300 digits
+    if len(digits) > len(str(VAR_MAX)):
+        raise ConfigError(f"variable indices must be ints in 1..{VAR_MAX}, "
+                          f"got one of {len(digits)} digits")
+    return int(digits)
 
 
 def parse_conjunction(text: str) -> MonotoneConjunction:

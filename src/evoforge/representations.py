@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Literal, get_args
 
-from .boolfn import MonotoneConjunction, MonotoneDnf, exact_perf
+from .boolfn import MonotoneConjunction, MonotoneDnf, _check_dim, exact_perf
 from .engine import (CorrelationFitness, EvalCounters, EvolutionParams,
                      EvolutionTrace, RepresentationClass, evolve)
 from .errors import ParameterError, check_range
@@ -57,15 +57,19 @@ def default_neigh_cap(n: int) -> int:
 
 
 class ConjunctionClass(RepresentationClass):
-    """Monotone conjunctions of at most q of n variables, with
-    add/remove/swap moves.  A representation is the conjunction itself."""
+    """Monotone conjunctions of at most q of n variables (q = n by default)
+    with add/remove/swap moves, evolving toward a conjunction of
+    clause_size variables (0 for a parity), which must fit under q."""
 
-    def __init__(self, n: int, q: int | None = None):
+    def __init__(self, n: int, q: int | None = None, clause_size: int = 0):
         check_range("n", n)
         self.n = n
         self.q = n if q is None else q
         if not 1 <= self.q <= n:
             raise ParameterError(f"size cap must be in 1..{n}, got {self.q}")
+        if clause_size > self.q:
+            raise ParameterError(f"a target clause has {clause_size} "
+                                 f"variables, exceeding cap {self.q}")
         self.neigh_cap = default_neigh_cap(n)
 
     def neighborhood(self, rep: MonotoneConjunction
@@ -90,14 +94,9 @@ def evolve_conjunction(target, params: EvolutionParams, *,
     expectations instead (landscape diagnostics), and BestClauseFitness
     scores a DNF term against its best-matching clause.
     """
-    q_eff = q if q is not None else params.n
-    if isinstance(target, MonotoneConjunction) and target.size > q_eff:
-        raise ParameterError(
-            f"target has {target.size} variables, exceeding cap {q_eff}")
-    if target.max_literal > params.n:
-        raise ParameterError(
-            f"target references x{target.max_literal} but n={params.n}")
-    cls = ConjunctionClass(params.n, q=q_eff)
+    _check_dim(target, params.n)
+    cls = ConjunctionClass(params.n, q, target.size
+                           if isinstance(target, MonotoneConjunction) else 0)
     if fitness is None:
         fitness = CorrelationFitness(target)
     return evolve(MonotoneConjunction(), cls, params, fitness)

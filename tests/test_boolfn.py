@@ -84,6 +84,15 @@ class TestConjunction:
             conj(0)
         with pytest.raises(ParameterError):
             conj(-2)
+        with pytest.raises(ParameterError, match=r"in 1\.\.16777216, "
+                                                 r"got 16777217$"):
+            conj(boolfn.VAR_MAX + 1)
+
+    def test_index_up_to_the_bound(self):
+        big = conj(1, 1000000)
+        assert big.max_literal == 1000000
+        assert exact_perf(big, conj(1), 1000000) == Fraction(1, 2)
+        assert conj(boolfn.VAR_MAX).max_literal == 1 << 24
 
     def test_canonical(self):
         assert conj(4, 1).canonical() == "x1&x4"

@@ -78,6 +78,14 @@ class TestFuncspec:
         assert parse_function(text).canonical() == text
 
 
+# Variable indices past x_VAR_MAX = x16777216, and how the refusal shows
+# them: one past the bound, one whose mask would take 3.75 GB, and one
+# too long for int() to read.
+INDEX_PAST_BOUND = [("16777217", "16777217"),
+                    ("30000000000", "one of 11 digits"),
+                    ("1" * 5000, "one of 5000 digits")]
+
+
 class TestParseConfig:
     def test_minimal(self):
         cfg = parse_config("experiment = counterexample\n")
@@ -133,7 +141,7 @@ out = results
          "line 2: key 'formats' does not apply"),
         ("experiment = redundancy_bias\ntarget = x0&x1\n", "line 2"),
         ("experiment = redundancy_bias\nn = 8\ntarget = x9\n",
-         "references x9"),
+         "line 2: x9 uses x9 but n=8"),
         ("experiment = redundancy_bias\nk = 2\ntarget = x1 | x2 | x3\n",
          "3 clause"),
         ("n = 5\n", "missing required key"),
@@ -166,6 +174,16 @@ out = results
         with pytest.raises(ParameterError) as lib:
             library(**{**valid, key: value})
         assert str(config.value) == f"line 2: {lib.value}"
+
+    @pytest.mark.parametrize("index,got", INDEX_PAST_BOUND,
+                             ids=["x2^24+1", "11_digits", "5000_digits"])
+    def test_index_past_the_bound(self, tmp_path, capsys, index, got):
+        path = write_cfg(tmp_path, "experiment = redundancy_bias\n"
+                                   f"target = x1&x2 | x1&x{index}\n")
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: line 2: variable indices must be ints in "
+            f"1..16777216, got {got}\n")
 
     def test_line_numbers_reported(self):
         with pytest.raises(ConfigError) as exc:
@@ -584,6 +602,21 @@ class TestCmdPerf:
     def test_parse_error_exits_2(self, capsys):
         assert main(["perf", "--r", "x0", "--f", "x1", "--n", "4"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    # an index past x_VAR_MAX is refused in one line, before its mask is
+    # built or, past 8 digits, before int() reads it
+    @pytest.mark.parametrize("index,got", INDEX_PAST_BOUND,
+                             ids=["x2^24+1", "11_digits", "5000_digits"])
+    def test_index_past_the_bound_exits_2(self, capsys, index, got):
+        assert main(["perf", "--r", f"x{index}", "--f", "x1",
+                     "--n", "5"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: variable indices must be ints in 1..16777216, got {got}\n")
+
+    def test_index_below_the_bound_runs(self, capsys):
+        assert main(["perf", "--r", "x1000000", "--f", "x1",
+                     "--n", "1000000"]) == 0
+        assert "= 0 [0]" in capsys.readouterr().out
 
     def test_bad_n_exits_2(self, capsys):
         assert main(["perf", "--r", "x1", "--f", "x1", "--n", "0"]) == 2

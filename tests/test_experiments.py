@@ -1,13 +1,17 @@
 import os
+import re
 import threading
 from fractions import Fraction
 
 import pytest
 
 from evoforge import experiments
-from evoforge.boolfn import MonotoneConjunction, MonotoneDnf
+from evoforge.boolfn import MonotoneConjunction, MonotoneDnf, exact_perf
+from evoforge.cli import main
+from evoforge.config import parse_config
 from evoforge.engine import EvolutionParams
-from evoforge.errors import ConfigError, ParameterError
+from evoforge.errors import (ConfigError, DimensionMismatchError,
+                             EvoforgeError, ParameterError)
 from evoforge.experiments import (COUNTEREXAMPLE_HYPOTHESIS,
                                   COUNTEREXAMPLE_N, COUNTEREXAMPLE_TARGET,
                                   _map_trials, _random_subset, _worker_count,
@@ -15,8 +19,8 @@ from evoforge.experiments import (COUNTEREXAMPLE_HYPOTHESIS,
                                   run_counterexample, run_parity,
                                   run_redundancy_bias,
                                   run_structural_vs_functional)
-from evoforge.perf import Aggregator, gen_perf
-from evoforge.representations import evolve_kdnf
+from evoforge.perf import Aggregator, SampleSpec, empirical_perf, gen_perf
+from evoforge.representations import evolve_conjunction, evolve_kdnf
 
 AGG_KEYS = ("min", "max", "mean", "median", "matched_min")
 
@@ -207,7 +211,7 @@ class TestParity:
 
 class TestRedundancyBias:
     def test_rejects_disjoint_target(self):
-        with pytest.raises(ConfigError, match="sharing"):
+        with pytest.raises(ParameterError, match="sharing"):
             run_redundancy_bias(dnf((1, 2), (3, 4)), 0.2, 1, 0, n=6)
 
     def test_shared_literal_run(self):
@@ -293,9 +297,66 @@ def test_size_cap_below_target_clause_refused(run, trials, no_trials):
 @pytest.mark.parametrize("run", [run_structural_vs_functional,
                                  run_redundancy_bias])
 def test_n_below_target_variable_refused(run, n, no_trials):
-    with pytest.raises(ParameterError,
-                       match=f"^target references x8 but n={n}$"):
+    with pytest.raises(DimensionMismatchError,
+                       match=rf"^{re.escape(str(COUNTEREXAMPLE_TARGET))} "
+                             rf"uses x8 but n={n}$"):
         run(COUNTEREXAMPLE_TARGET, n=n, trials=1, g=2, s=200)
+
+
+# Each rule about a run's variables is stated in one place, so every
+# entry point refuses a breach in the same words; a config adds its line
+# and the command line its "error: " prefix.
+BEYOND_N = "x1&x4&x5 | x2&x4&x6 | x3&x7&x8 uses x8 but n=5"
+OVER_CAP = "a target clause has 3 variables, exceeding cap 2"
+
+
+def _refusal(call, *args, **kwargs) -> str:
+    with pytest.raises(EvoforgeError) as exc:
+        call(*args, **kwargs)
+    return str(exc.value)
+
+
+def _perf_stderr(capsys, *argv) -> str:
+    assert main(["perf", *argv]) == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expected,entry", [
+    (BEYOND_N, lambda _: _refusal(exact_perf, COUNTEREXAMPLE_HYPOTHESIS,
+                                  COUNTEREXAMPLE_TARGET, 5)),
+    (BEYOND_N, lambda _: _refusal(empirical_perf, COUNTEREXAMPLE_HYPOTHESIS,
+                                  COUNTEREXAMPLE_TARGET, 5,
+                                  SampleSpec(10, 0))),
+    (BEYOND_N, lambda _: _refusal(evolve_conjunction, COUNTEREXAMPLE_TARGET,
+                                  EvolutionParams(5, 0.1, 0.01, 10, 1, 0))),
+    (BEYOND_N, lambda _: _refusal(run_structural_vs_functional,
+                                  COUNTEREXAMPLE_TARGET, n=5, trials=1)),
+    (BEYOND_N, lambda _: _refusal(run_redundancy_bias,
+                                  COUNTEREXAMPLE_TARGET, n=5, trials=1)),
+    (f"line 2: {BEYOND_N}", lambda _: _refusal(
+        parse_config, "experiment = redundancy_bias\nn = 5\n"
+                      f"target = {COUNTEREXAMPLE_TARGET}\n")),
+    (f"error: {BEYOND_N}\n", lambda capsys: _perf_stderr(
+        capsys, "--r", "x1 | x2 | x3", "--f", str(COUNTEREXAMPLE_TARGET),
+        "--n", "5")),
+    (OVER_CAP, lambda _: _refusal(evolve_conjunction,
+                                  MonotoneConjunction(frozenset({1, 4, 5})),
+                                  EvolutionParams(8, 0.1, 0.01, 10, 1, 0),
+                                  q=2)),
+    (OVER_CAP, lambda _: _refusal(run_conjunction_evolvability, n=8,
+                                  target_size=3, q=2, trials=1)),
+    (OVER_CAP, lambda _: _refusal(run_structural_vs_functional,
+                                  COUNTEREXAMPLE_TARGET, n=8, q=2, trials=1)),
+    (OVER_CAP, lambda _: _refusal(run_redundancy_bias,
+                                  COUNTEREXAMPLE_TARGET, n=8, q=2, trials=1)),
+], ids=["n-exact_perf", "n-empirical_perf", "n-evolve_conjunction",
+        "n-structural_vs_functional", "n-redundancy_bias", "n-config",
+        "n-cli_perf", "cap-evolve_conjunction",
+        "cap-conjunction_evolvability", "cap-structural_vs_functional",
+        "cap-redundancy_bias"])
+def test_each_variable_rule_reads_the_same_everywhere(expected, entry,
+                                                      capsys, no_trials):
+    assert entry(capsys) == expected
 
 
 class TestRandomSubset:

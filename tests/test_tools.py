@@ -121,6 +121,10 @@ def test_probe_landscape_runs(capsys):
     # a bad argument is reported as evoforge reports it, not as a traceback
     assert probe.run(["--epsilon", "0"]) == 2
     assert capsys.readouterr().err == "error: epsilon must be in (0,1), got 0.0\n"
+    assert probe.run(["--target", "x" + "9" * 5000]) == 2
+    assert capsys.readouterr().err == ("error: variable indices must be ints "
+                                       "in 1..16777216, got one of 5000 "
+                                       "digits\n")
 
 
 @pytest.mark.parametrize("script", ["scripts/run_all.py",
