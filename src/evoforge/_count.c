@@ -28,6 +28,18 @@
  * the widest one the CPU runs, so one build serves every x86-64 CPU.  The
  * loops are forced inline so that each clone holds its own copy.  Other
  * targets, musl among them (it has no ifunc), build the plain loop.
+ *
+ * count_avx512 is the same function written by hand in AVX-512 intrinsics
+ * for the three fixed pairs, 8 points per step on the same stream: one
+ * ternlog turns the last xor and the mask of the low n bits into ~x, so
+ * that each clause is one test of ~x & m against 0; a parity is a vpopcntq
+ * and a test of its low bit; each count is one masked subtract.  The s mod
+ * 8 tail and every other pair run the loops above, so its counts are
+ * count's.  It is built with gcc or clang on any x86-64 target, and
+ * avx512() says whether this CPU and its OS run it (0 where it is not
+ * built); the loader binds it where avx512() is 1, count elsewhere.  gcc
+ * emits no vpopcntq for __builtin_popcountll, so even() pays a multiply
+ * in count that count_avx512 does not.
  */
 #include <stdint.h>
 #include <string.h>
@@ -39,6 +51,11 @@
                                             "default")))
 #else
 #define CLONES
+#endif
+/* The hand-vectorized loop: gcc and clang on x86-64. */
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define HAND
+#include <immintrin.h>
 #endif
 #if defined(__GNUC__) || defined(__clang__)
 #define INLINE static inline __attribute__((always_inline))
@@ -120,30 +137,166 @@ INLINE void pad4(const unsigned char *w, int k, uint64_t m[4])
         m[j] = word(w, j < k ? j : 0);
 }
 
+/* The pairs with a loop of their own; GENERIC is any other. */
+enum shape { GENERIC, CONJ_CONJ, CONJ_PARITY, CLAUSES4 };
+
+/* The shape of the pair of a frame, and for a fixed one its two sides
+ * padded to 4 words in a and b. */
+INLINE enum shape shape_of(const unsigned char *frame, uint64_t a[4],
+                           uint64_t b[4])
+{
+    int ka = (int)word(frame, 3), pa = (int)word(frame, 4);
+    int kb = (int)word(frame, 5), pb = (int)word(frame, 6);
+    const unsigned char *wa = frame + 8 * 7, *wb = wa + 8 * (int64_t)ka;
+
+    if (pa || ka > 4 || kb > 4 || (pb && ka > 1))
+        return GENERIC;
+    pad4(wa, ka, a);
+    pad4(wb, kb, b);
+    if (pb)
+        return CONJ_PARITY;
+    return ka == 1 && kb == 1 ? CONJ_CONJ : CLAUSES4;
+}
+
+/* The mask of the low n bits, 1 <= n <= 63 being checked by the caller. */
+INLINE uint64_t dim_of(const unsigned char *frame)
+{
+    return (1ULL << (int)word(frame, 2)) - 1;
+}
+
+/* count_loop for a fixed shape, on its padded sides. */
+INLINE void count_fixed(enum shape shape, uint64_t seed, int64_t s,
+                        uint64_t dim, const uint64_t a[4],
+                        const uint64_t b[4], int64_t out[3])
+{
+    const unsigned char *a4 = (const unsigned char *)a;
+    const unsigned char *b4 = (const unsigned char *)b;
+
+    if (shape == CONJ_PARITY)
+        count_loop(seed, s, dim, a4, 1, 0, b4, 1, 1, out);
+    else if (shape == CONJ_CONJ)
+        count_loop(seed, s, dim, a4, 1, 0, b4, 1, 0, out);
+    else
+        count_loop(seed, s, dim, a4, 4, 0, b4, 4, 0, out);
+}
+
 CLONES
 void count(const unsigned char *frame, int64_t out[3])
 {
     uint64_t seed = word(frame, 0);
     int64_t s = (int64_t)word(frame, 1);
-    int n = (int)word(frame, 2), ka = (int)word(frame, 3);
-    int pa = (int)word(frame, 4), kb = (int)word(frame, 5);
-    int pb = (int)word(frame, 6);
-    uint64_t dim = (1ULL << n) - 1;  /* 1 <= n <= 63, checked by the caller */
-    const unsigned char *wa = frame + 8 * 7, *wb = wa + 8 * (int64_t)ka;
     uint64_t a[4], b[4];
-    const unsigned char *a4 = (const unsigned char *)a;
-    const unsigned char *b4 = (const unsigned char *)b;
+    enum shape shape = shape_of(frame, a, b);
 
-    if (pa || ka > 4 || kb > 4 || (pb && ka > 1)) {
-        count_loop(seed, s, dim, wa, ka, pa, wb, kb, pb, out);
+    if (shape == GENERIC) {
+        int ka = (int)word(frame, 3), pa = (int)word(frame, 4);
+        int kb = (int)word(frame, 5), pb = (int)word(frame, 6);
+        const unsigned char *wa = frame + 8 * 7, *wb = wa + 8 * (int64_t)ka;
+        count_loop(seed, s, dim_of(frame), wa, ka, pa, wb, kb, pb, out);
+    } else {
+        count_fixed(shape, seed, s, dim_of(frame), a, b, out);
+    }
+}
+
+#ifdef HAND
+#define AVX512 __attribute__((target("avx512f,avx512dq,avx512vpopcntdq")))
+
+/* count_loop over the first s8 points, s8 a multiple of 8, for a fixed
+ * shape: point i + j in lane j. */
+AVX512 INLINE void hand_loop(enum shape shape, uint64_t seed, int64_t s8,
+                             uint64_t dim, const uint64_t a[4],
+                             const uint64_t b[4], int64_t out[3])
+{
+    const __m512i step = _mm512_set1_epi64((int64_t)(8 * GAMMA));
+    const __m512i c1 = _mm512_set1_epi64((int64_t)C1);
+    const __m512i c2 = _mm512_set1_epi64((int64_t)C2);
+    const __m512i dimv = _mm512_set1_epi64((int64_t)dim);
+    /* the parity's mask within dim, so that one ternlog gives x & p */
+    const __m512i pdim = _mm512_set1_epi64((int64_t)(b[0] & dim));
+    const __m512i one = _mm512_set1_epi64(1);
+    const __m512i minus1 = _mm512_set1_epi64(-1);
+    __m512i va[4], vb[4];
+    __m512i z = _mm512_set_epi64(
+        (int64_t)(seed + 8 * GAMMA), (int64_t)(seed + 7 * GAMMA),
+        (int64_t)(seed + 6 * GAMMA), (int64_t)(seed + 5 * GAMMA),
+        (int64_t)(seed + 4 * GAMMA), (int64_t)(seed + 3 * GAMMA),
+        (int64_t)(seed + 2 * GAMMA), (int64_t)(seed + GAMMA));
+    __m512i both = _mm512_setzero_si512();
+    __m512i ca = both, cb = both;
+
+    for (int j = 0; j < 4; j++) {
+        va[j] = _mm512_set1_epi64((int64_t)a[j]);
+        vb[j] = _mm512_set1_epi64((int64_t)b[j]);
+    }
+    for (int64_t i = 0; i < s8; i += 8) {
+        __m512i y = _mm512_xor_si512(z, _mm512_srli_epi64(z, 30));
+        y = _mm512_mullo_epi64(y, c1);
+        y = _mm512_xor_si512(y, _mm512_srli_epi64(y, 27));
+        y = _mm512_mullo_epi64(y, c2);
+        __m512i y31 = _mm512_srli_epi64(y, 31);
+        /* 0xD7 is ~((y ^ y31) & dim): ~x, so that x holds every bit of a
+         * clause m where ~x & m is 0 */
+        __m512i nx = _mm512_ternarylogic_epi64(y, y31, dimv, 0xD7);
+        __mmask8 ta = _mm512_testn_epi64_mask(nx, va[0]), tb;
+
+        if (shape == CONJ_PARITY) {
+            /* 0x28 is (y ^ y31) & pdim: x & p */
+            __m512i xp = _mm512_ternarylogic_epi64(y, y31, pdim, 0x28);
+            tb = _mm512_testn_epi64_mask(_mm512_popcnt_epi64(xp), one);
+        } else {
+            tb = _mm512_testn_epi64_mask(nx, vb[0]);
+        }
+        if (shape == CLAUSES4)
+            for (int j = 1; j < 4; j++) {
+                ta |= _mm512_testn_epi64_mask(nx, va[j]);
+                tb |= _mm512_testn_epi64_mask(nx, vb[j]);
+            }
+        both = _mm512_mask_sub_epi64(both, ta & tb, both, minus1);
+        ca = _mm512_mask_sub_epi64(ca, ta, ca, minus1);
+        cb = _mm512_mask_sub_epi64(cb, tb, cb, minus1);
+        z = _mm512_add_epi64(z, step);
+    }
+    out[0] = _mm512_reduce_add_epi64(both);
+    out[1] = _mm512_reduce_add_epi64(ca);
+    out[2] = _mm512_reduce_add_epi64(cb);
+}
+
+/* count, by hand_loop for a fixed shape and its s mod 8 tail by
+ * count_fixed; any other shape runs count. */
+AVX512 void count_avx512(const unsigned char *frame, int64_t out[3])
+{
+    uint64_t seed = word(frame, 0);
+    int64_t s = (int64_t)word(frame, 1), s8 = s - s % 8;
+    uint64_t dim = dim_of(frame), a[4], b[4];
+    int64_t head[3];
+    enum shape shape = shape_of(frame, a, b);
+
+    if (shape == GENERIC) {
+        count(frame, out);
         return;
     }
-    pad4(wa, ka, a);
-    pad4(wb, kb, b);
-    if (pb)
-        count_loop(seed, s, dim, a4, 1, 0, b4, 1, 1, out);
-    else if (ka == 1 && kb == 1)
-        count_loop(seed, s, dim, a4, 1, 0, b4, 1, 0, out);
+    /* each a constant, so that each loop holds one shape's tests */
+    if (shape == CONJ_PARITY)
+        hand_loop(CONJ_PARITY, seed, s8, dim, a, b, head);
+    else if (shape == CONJ_CONJ)
+        hand_loop(CONJ_CONJ, seed, s8, dim, a, b, head);
     else
-        count_loop(seed, s, dim, a4, 4, 0, b4, 4, 0, out);
+        hand_loop(CLAUSES4, seed, s8, dim, a, b, head);
+    count_fixed(shape, seed + (uint64_t)s8 * GAMMA, s - s8, dim, a, b, out);
+    for (int j = 0; j < 3; j++)
+        out[j] += head[j];
+}
+#endif
+
+/* 1 when count_avx512 is built and this CPU and its OS run it, else 0. */
+int avx512(void)
+{
+#ifdef HAND
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f")
+        && __builtin_cpu_supports("avx512dq")
+        && __builtin_cpu_supports("avx512vpopcntdq");
+#else
+    return 0;
+#endif
 }

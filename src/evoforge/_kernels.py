@@ -12,8 +12,13 @@ Two backends give the same counts.  The compiled one is _count.c, built
 on first import by the system C compiler ($CC, else cc) with plain -O3
 and cached under $XDG_CACHE_HOME/evoforge (default ~/.cache/evoforge);
 with glibc on x86-64 it holds clones for AVX-512, AVX2 and the baseline,
-and the dynamic loader picks one for the CPU it runs on.  It draws each
-point inline, holds no buffers and needs no numpy.  When it cannot be
+and the dynamic loader picks one for the CPU it runs on.  On x86-64 it
+also holds count_avx512, a loop written by hand in AVX-512 intrinsics for
+the pairs the experiments run (two conjunctions, a conjunction and a
+parity, two lists of up to 4 clauses); the import binds it when the
+library's avx512() says this CPU runs it, and count otherwise.  Both give
+the same counts, and LOOP names the one bound.  It draws each point
+inline, holds no buffers and needs no numpy.  When it cannot be
 built or loaded, _count_blocks runs: numpy over rng.sample_blocks with a
 few BLOCK-sized buffers per thread, kept across calls, so the memory used
 is bounded by the block size, not by s.  Only this fallback imports
@@ -84,34 +89,49 @@ def _compiler() -> str | None:
     return found and os.path.realpath(found)
 
 
-def _bind(path: str):
-    """The `count` function of the library at `path`, typed for ctypes."""
-    fn = ctypes.CDLL(path).count
+def _bind(path: str, name: str = "count"):
+    """The function `name` of the library at `path`, typed for ctypes as
+    count is."""
+    fn = getattr(ctypes.CDLL(path), name)
     fn.argtypes = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64))
     fn.restype = None
     return fn
 
 
+def _pick(path: str):
+    """(the count loop of the library at `path`, its LOOP name): the hand
+    loop where the library has one and says the CPU runs it, else count.
+    A library without the hand loop's symbols is a portable one."""
+    lib = ctypes.CDLL(path)
+    probe = getattr(lib, "avx512", None)
+    if probe is not None and hasattr(lib, "count_avx512") and probe() == 1:
+        return _bind(path, "count_avx512"), "avx512"
+    return _bind(path), "portable"
+
+
 def _load_compiled():
-    """(the compiled `count` function of _count.c, its library's path,
-    None), or (None, None, why not) when there is no compiler, the compile
-    fails, the cache cannot be written or the library does not load.  A
-    cache hit starts no process."""
+    """(the compiled count loop of _count.c, its LOOP name, its library's
+    path, None), or (None, "none", None, why not) when there is no
+    compiler, the compile fails, the cache cannot be written or the
+    library does not load.  A cache hit starts no process."""
     try:
         source = resources.files(__package__).joinpath("_count.c").read_bytes()
         compiler = _compiler()
         if compiler is None:
-            return None, None, f"{os.environ.get('CC') or 'cc'} not found"
+            why = f"{os.environ.get('CC') or 'cc'} not found"
+            return None, "none", None, why
         path = _library_path(source, compiler)
         if not os.path.exists(path):
             _build(source, compiler, path)
-        return _bind(path), path, None
+        return (*_pick(path), path, None)
     except (OSError, AttributeError) as exc:
-        return None, None, str(exc)
+        return None, "none", None, str(exc)
 
 
-# FALLBACK says why the numpy fallback runs; None on the compiled backend.
-_count_c, LIBRARY, FALLBACK = _load_compiled()
+# LOOP names the compiled loop that runs: avx512 (the hand loop), portable
+# (count) or none (the numpy fallback).  FALLBACK says why the numpy
+# fallback runs; None on the compiled backend.
+_count_c, LOOP, LIBRARY, FALLBACK = _load_compiled()
 BACKEND = "numpy" if _count_c is None else "c"
 # perfbench/run.py reads HAVE_NUMBA as "a compiled loop draws its points
 # inline", which the C loop does; kept until the benchmark reads BACKEND.

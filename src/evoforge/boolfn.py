@@ -44,8 +44,11 @@ def _mask_of(literals: Iterable[int]) -> int:
     for v in literals:
         if (not isinstance(v, int) or isinstance(v, bool)
                 or not 1 <= v <= VAR_MAX):
+            # an int past 4300 digits has no repr: it shows by its size
+            got = (f"an int of {v.bit_length()} bits"
+                   if isinstance(v, int) and v.bit_length() > 64 else repr(v))
             raise ParameterError(
-                f"variable indices must be ints in 1..{VAR_MAX}, got {v!r}")
+                f"variable indices must be ints in 1..{VAR_MAX}, got {got}")
         mask |= 1 << (v - 1)
     return mask
 
@@ -277,7 +280,7 @@ def exact_perf(r, f, n: int,
     """Exact expected output product of r and f on uniform {0,1}^n.
 
     r and f are conjunctions, monotone DNFs or parities; any other type
-    raises ParameterError, and a variable beyond n raises
+    or an n below 1 raises ParameterError, and a variable beyond n raises
     DimensionMismatchError.  Variables neither function mentions do not
     change the value, so the counts |r|, |f|, |r AND f| are taken on the
     m-cube, m = max(r.max_literal, f.max_literal, 1):
@@ -289,8 +292,8 @@ def exact_perf(r, f, n: int,
     unions.  Only DNF pairs whose expansions outgrow the m-cube are
     enumerated, and those raise EnumerationBudgetError when m > 24.
     """
-    if n < 1:
-        raise DimensionMismatchError(f"dimension must be positive, got {n}")
+    if n < 1:  # no upper bound: n only checks the variables
+        raise ParameterError(f"n must be >= 1, got {n}")
     _check_dim(r, n)
     _check_dim(f, n)
     n = max(r.max_literal, f.max_literal, 1)

@@ -4,8 +4,8 @@ run executes a configured experiment and writes report.json, trace.csv,
 and summary.txt into the output directory; before the first trial it
 names the count backend on stderr, with why it fell back to numpy if it
 did.  Exit codes: 0 all golden checks passed, 1 golden-check failure, 2
-configuration problem.  info prints which count backend runs, what it
-was built with, and why it fell back to numpy if it did.
+configuration problem.  info prints which count backend and loop run,
+what it was built with, and why it fell back to numpy if it did.
 
 main(argv) may be called many times in one process: the parser is built
 on the first call and reused, and each call looks its command's handler
@@ -152,8 +152,6 @@ def cmd_perf(args) -> int:
     try:
         r = parse_function(args.r)
         f = parse_function(args.f)
-        if args.n < 1:
-            raise ConfigError(f"--n must be >= 1, got {args.n}")
         conv = OutputConvention(args.conv)
         seed = args.seed or 0
         check_range("seed", seed)  # in exact mode too, where it goes unused
@@ -187,6 +185,7 @@ def cmd_info(_args) -> int:
 
     rows = [("evoforge", __version__),
             ("backend", _kernels.BACKEND),
+            ("loop", _kernels.LOOP),
             ("compiler", _kernels._compiler() or "none"),
             ("library", _kernels.LIBRARY or "none"),
             ("fallback", _kernels.FALLBACK or "none"),

@@ -78,6 +78,7 @@ def empirical_perf(r, f, n: int, spec: SampleSpec,
     _kernels.counts, and the estimate is assembled from its integer
     counts, making it an exact multiple of 1/s.
     """
+    check_range("n", n)
     _check_dim(r, n)
     _check_dim(f, n)
     c_both, c_r, c_f = _kernels.counts(spec.seed, spec.s, r.masks, r.is_parity,

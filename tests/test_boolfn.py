@@ -88,6 +88,14 @@ class TestConjunction:
                                                  r"got 16777217$"):
             conj(boolfn.VAR_MAX + 1)
 
+    @pytest.mark.parametrize("v", [10 ** 5000, -10 ** 5000],
+                             ids=["5000_digits", "minus_5000_digits"])
+    def test_huge_index_refused_by_its_size(self, v):
+        # past 4300 digits an int has no repr, which the message must not need
+        with pytest.raises(ParameterError, match=r"in 1\.\.16777216, got an "
+                                                 r"int of 16610 bits$"):
+            MonotoneConjunction([v])
+
     def test_index_up_to_the_bound(self):
         big = conj(1, 1000000)
         assert big.max_literal == 1000000
@@ -260,6 +268,11 @@ class TestExactPerf:
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
             exact_perf(conj(9), conj(1), 8, SIGNED)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one_refused(self, n):
+        with pytest.raises(ParameterError, match=rf"^n must be >= 1, got {n}$"):
+            exact_perf(conj(), conj(), n, SIGNED)
 
     @given(a=conj_sets, b=conj_sets)
     def test_signed_binary_identity(self, a, b):

@@ -619,8 +619,14 @@ class TestCmdPerf:
         assert "= 0 [0]" in capsys.readouterr().out
 
     def test_bad_n_exits_2(self, capsys):
+        # the library's own refusals: the oracle's n has no upper bound,
+        # the sampler's is 63
         assert main(["perf", "--r", "x1", "--f", "x1", "--n", "0"]) == 2
-        assert "--n" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: n must be >= 1, got 0\n"
+        assert main(["perf", "--r", "x1", "--f", "x1", "--n", "0",
+                     "--samples", "10"]) == 2
+        assert capsys.readouterr().err == (
+            "error: n must be in 1..63, got 0\n")
 
     def test_bad_seed_exits_2(self, capsys):
         assert main(["perf", "--r", "x1", "--f", "x1", "--n", "4",
@@ -654,6 +660,7 @@ class TestCmdInfo:
         rows = dict(line.split(": ", 1) for line in
                     capsys.readouterr().out.strip().splitlines())
         assert rows["backend"] == _kernels.BACKEND
+        assert rows["loop"] == _kernels.LOOP
         if _kernels.BACKEND == "c":
             assert os.path.isfile(rows["library"])
             assert os.path.isfile(rows["compiler"])
@@ -678,6 +685,7 @@ class TestCmdInfo:
         assert done.returncode == 0, done.stderr
         rows = dict(line.split(": ", 1) for line in done.stdout.splitlines())
         assert rows["backend"] == "numpy"
+        assert rows["loop"] == "none"
         assert rows["fallback"].endswith("false exited 1")
 
 

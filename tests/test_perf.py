@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import os
@@ -106,6 +107,13 @@ class TestEmpiricalPerf:
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
             empirical_perf(conj(9), conj(1), 8, SampleSpec(10, 0), SIGNED)
+
+    @pytest.mark.parametrize("n", [0, 64])
+    def test_n_out_of_range_refused_as_n(self, n):
+        # the range of n, before any function is checked against it
+        with pytest.raises(ParameterError,
+                           match=rf"^n must be in 1\.\.63, got {n}$"):
+            empirical_perf(conj(1), conj(1), n, SampleSpec(10, 0), SIGNED)
 
     def test_mini_concentration(self):
         exact = float(exact_perf(CE_R, CE_F, 8, SIGNED))
@@ -382,6 +390,38 @@ class TestBackend:
         assert counts_conj_conj(1, 10, (1,), (2,), 4) == (7, 8, 9)
         assert counts_conj_parity(1, 10, (1,), (2,), 4) == (7, 8, 9)
 
+    def test_loop_names_the_bound_count(self):
+        # on any machine: none exactly on the fallback, and on the compiled
+        # backend the hand loop exactly where the library says it runs
+        assert _kernels.LOOP in ("avx512", "portable", "none")
+        assert (_kernels.LOOP == "none") == (_kernels.BACKEND == "numpy")
+        if _kernels.BACKEND == "c":
+            lib = ctypes.CDLL(_kernels.LIBRARY)
+            assert (_kernels.LOOP == "avx512") == (lib.avx512() == 1)
+
+    def test_library_without_the_hand_loop_is_portable(self, tmp_path,
+                                                      monkeypatch):
+        # a build with no count_avx512 or avx512 symbol, as on any target
+        # but x86-64, loads its count, not the numpy fallback; cc builds
+        # it also where CC forces the fallback
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH to build a library with")
+        monkeypatch.setenv("CC", "cc")
+        fake = tmp_path / "pkg"
+        fake.mkdir()
+        (fake / "_count.c").write_text(
+            "#include <stdint.h>\n"
+            "void count(const unsigned char *frame, int64_t out[3])\n"
+            "{ (void)frame; out[0] = 7; out[1] = 8; out[2] = 9; }\n")
+        monkeypatch.setattr(_kernels.resources, "files", lambda pkg: fake)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        fn, loop, path, why = _kernels._load_compiled()
+        assert (loop, why) == ("portable", None)
+        assert os.path.isfile(path)
+        out = (ctypes.c_int64 * 3)()
+        fn(bytes(8 * 9), out)
+        assert list(out) == [7, 8, 9]
+
     def test_cache_hit_reloads_the_same_library(self, tmp_path):
         if _kernels.BACKEND != "c":
             pytest.skip("the compiled backend did not load here")
@@ -446,13 +486,22 @@ class TestBackend:
 
 # The ISAs of count's target_clones, each built alone from the branch with
 # no clones (no __ELF__) and run in its own interpreter, where a build for
-# an ISA this CPU lacks dies of SIGILL: a skip, not a crash of pytest.
-ISAS = {"baseline": "-march=x86-64", "avx2": "-mavx2",
-        "x86-64-v4": "-march=x86-64-v4"}
+# an ISA this CPU lacks dies of SIGILL: a skip, not a crash of pytest.  And
+# the hand loop, count_avx512 of a default build, where avx512() says this
+# CPU runs it; the three ISA builds keep binding count, so the portable
+# loop stays checked on a CPU that runs the hand one.
+ISAS = {"baseline": (("-U__ELF__", "-march=x86-64"), "count"),
+        "avx2": (("-U__ELF__", "-mavx2"), "count"),
+        "x86-64-v4": (("-U__ELF__", "-march=x86-64-v4"), "count"),
+        "avx512": ((), "count_avx512")}
 ISA_PROBE = """
-import json, sys
+import ctypes, json, sys
 from evoforge import _kernels
-_kernels._count_c = _kernels._bind(sys.argv[1])
+path, name = sys.argv[1:]
+if name == "count_avx512" and ctypes.CDLL(path).avx512() != 1:
+    print("null")
+    sys.exit()
+_kernels._count_c = _kernels._bind(path, name)
 cases = json.load(sys.stdin)
 print(json.dumps([_kernels._count_compiled(*c) for c in cases]))
 """
@@ -464,12 +513,14 @@ print(json.dumps([_kernels._count_compiled(*c) for c in cases]))
 @pytest.mark.parametrize("isa", list(ISAS))
 def test_every_isa_build_matches_the_blocks(tmp_path, isa):
     lib = tmp_path / f"count-{isa}.so"
+    flags, name = ISAS[isa]
     source = resources.files("evoforge").joinpath("_count.c").read_bytes()
-    subprocess.run(["cc", "-O3", "-shared", "-fPIC", "-U__ELF__", ISAS[isa],
+    subprocess.run(["cc", "-O3", "-shared", "-fPIC", *flags,
                     "-o", str(lib), "-x", "c", "-"], input=source,
                    check=True, capture_output=True, timeout=60)
     # every loop, with sizes that end in each remainder of the 8- and
-    # 4-lane loops and around a multiple of both
+    # 4-lane loops and around a multiple of both; MASK64 - 5 wraps the
+    # counter, in every lane of the hand loop, within the stream
     cases = [(seed, s, a.masks, a.is_parity, b.masks, b.is_parity, n)
              for a, b, n in TestKernels.CASES + TestKernels.PARITY_CASES
              for seed in (0, MASK64 - 5)
@@ -477,14 +528,16 @@ def test_every_isa_build_matches_the_blocks(tmp_path, isa):
     # CC=/bin/false: the import builds and loads no library of its own
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src"),
            "CC": "/bin/false", "XDG_CACHE_HOME": str(tmp_path / "cache")}
-    done = subprocess.run([sys.executable, "-c", ISA_PROBE, str(lib)],
+    done = subprocess.run([sys.executable, "-c", ISA_PROBE, str(lib), name],
                           input=json.dumps(cases), env=env,
                           capture_output=True, text=True, timeout=120)
     if done.returncode == -signal.SIGILL:
         pytest.skip(f"this CPU does not run {isa} code")
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [list(_count_blocks(*c))
-                                       for c in cases]
+    got = json.loads(done.stdout)
+    if got is None:
+        pytest.skip("avx512() says this CPU does not run the hand loop")
+    assert got == [list(_count_blocks(*c)) for c in cases]
 
 
 # Modules that a run on the compiled backend never calls: numpy serves
