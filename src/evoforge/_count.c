@@ -30,16 +30,24 @@
  * targets, musl among them (it has no ifunc), build the plain loop.
  *
  * count_avx512 is the same function written by hand in AVX-512 intrinsics
- * for the three fixed pairs, 8 points per step on the same stream: one
- * ternlog turns the last xor and the mask of the low n bits into ~x, so
- * that each clause is one test of ~x & m against 0; a parity is a vpopcntq
- * and a test of its low bit; each count is one masked subtract.  The s mod
- * 8 tail and every other pair run the loops above, so its counts are
- * count's.  It is built with gcc or clang on any x86-64 target, and
- * avx512() says whether this CPU and its OS run it (0 where it is not
- * built); the loader binds it where avx512() is 1, count elsewhere.  gcc
- * emits no vpopcntq for __builtin_popcountll, so even() pays a multiply
- * in count that count_avx512 does not.
+ * for the three fixed pairs, 8 points per step on the same stream.  It
+ * counts failures, not hits: one ternlog turns the last xor and the mask
+ * of the low n bits into ~x, and a clause fails where ~x & m is nonzero.
+ * A list fails where each of its clauses fails, which one test and three
+ * masked tests chained through a mask register give, with no mask-register
+ * logic; two conjunctions are not both true where ~x & (a | b) is nonzero,
+ * one test more.  A parity fails where the vpopcntq of x & p is odd.  Each
+ * of the three failure counts is one masked add, taken from s at the end.
+ * Bit j of a point, j < n, is y_j ^ y_{j+31} of the second product y, so
+ * for n <= 21 only bits 0..51 of y are read, and that multiply is one
+ * vpmadd52luq (IFMA), where vpmullq takes 3 uops.  The s mod 8 tail and
+ * every other pair run the loops above, so its counts are count's.  It is
+ * built with gcc or clang on any x86-64 target, and avx512() says whether
+ * this CPU and its OS run it, with AVX-512 F, DQ, VPOPCNTDQ and IFMA: Ice
+ * Lake, Sapphire Rapids, Zen 4 and later (0 where it is not built); the
+ * loader binds it where avx512() is 1, count elsewhere.  gcc emits no
+ * vpopcntq for __builtin_popcountll, so even() pays a multiply in count
+ * that count_avx512 does not.
  */
 #include <stdint.h>
 #include <string.h>
@@ -199,30 +207,38 @@ void count(const unsigned char *frame, int64_t out[3])
 }
 
 #ifdef HAND
-#define AVX512 __attribute__((target("avx512f,avx512dq,avx512vpopcntdq")))
+#define AVX512 __attribute__((target("avx512f,avx512dq,avx512vpopcntdq," \
+                                     "avx512ifma")))
+
+/* The largest n whose points read only bits 0..51 of the second product:
+ * bit n - 1 of a point reads bit n + 30. */
+#define IFMA_N 21
+#define MASK52 ((1ULL << 52) - 1)
 
 /* count_loop over the first s8 points, s8 a multiple of 8, for a fixed
- * shape: point i + j in lane j. */
-AVX512 INLINE void hand_loop(enum shape shape, uint64_t seed, int64_t s8,
-                             uint64_t dim, const uint64_t a[4],
+ * shape, with the second multiply done by IFMA (ifma, n <= IFMA_N) or in
+ * full: point i + j in lane j, counting where each side fails. */
+AVX512 INLINE void hand_loop(enum shape shape, int ifma, uint64_t seed,
+                             int64_t s8, uint64_t dim, const uint64_t a[4],
                              const uint64_t b[4], int64_t out[3])
 {
     const __m512i step = _mm512_set1_epi64((int64_t)(8 * GAMMA));
     const __m512i c1 = _mm512_set1_epi64((int64_t)C1);
-    const __m512i c2 = _mm512_set1_epi64((int64_t)C2);
+    const __m512i c2 = _mm512_set1_epi64((int64_t)(ifma ? C2 & MASK52 : C2));
     const __m512i dimv = _mm512_set1_epi64((int64_t)dim);
     /* the parity's mask within dim, so that one ternlog gives x & p */
     const __m512i pdim = _mm512_set1_epi64((int64_t)(b[0] & dim));
+    /* two conjunctions are not both true where ~x & (a | b) is nonzero */
+    const __m512i vab = _mm512_set1_epi64((int64_t)(a[0] | b[0]));
     const __m512i one = _mm512_set1_epi64(1);
-    const __m512i minus1 = _mm512_set1_epi64(-1);
+    const __m512i zero = _mm512_setzero_si512();
     __m512i va[4], vb[4];
     __m512i z = _mm512_set_epi64(
         (int64_t)(seed + 8 * GAMMA), (int64_t)(seed + 7 * GAMMA),
         (int64_t)(seed + 6 * GAMMA), (int64_t)(seed + 5 * GAMMA),
         (int64_t)(seed + 4 * GAMMA), (int64_t)(seed + 3 * GAMMA),
         (int64_t)(seed + 2 * GAMMA), (int64_t)(seed + GAMMA));
-    __m512i both = _mm512_setzero_si512();
-    __m512i ca = both, cb = both;
+    __m512i fboth = zero, fa = zero, fb = zero;
 
     for (int j = 0; j < 4; j++) {
         va[j] = _mm512_set1_epi64((int64_t)a[j]);
@@ -232,33 +248,47 @@ AVX512 INLINE void hand_loop(enum shape shape, uint64_t seed, int64_t s8,
         __m512i y = _mm512_xor_si512(z, _mm512_srli_epi64(z, 30));
         y = _mm512_mullo_epi64(y, c1);
         y = _mm512_xor_si512(y, _mm512_srli_epi64(y, 27));
-        y = _mm512_mullo_epi64(y, c2);
+        y = ifma ? _mm512_madd52lo_epu64(zero, y, c2)
+                 : _mm512_mullo_epi64(y, c2);
         __m512i y31 = _mm512_srli_epi64(y, 31);
-        /* 0xD7 is ~((y ^ y31) & dim): ~x, so that x holds every bit of a
-         * clause m where ~x & m is 0 */
+        /* 0xD7 is ~((y ^ y31) & dim): ~x */
         __m512i nx = _mm512_ternarylogic_epi64(y, y31, dimv, 0xD7);
-        __mmask8 ta = _mm512_testn_epi64_mask(nx, va[0]), tb;
+        __mmask8 ka = _mm512_test_epi64_mask(nx, va[0]), kb, kboth;
 
         if (shape == CONJ_PARITY) {
             /* 0x28 is (y ^ y31) & pdim: x & p */
             __m512i xp = _mm512_ternarylogic_epi64(y, y31, pdim, 0x28);
-            tb = _mm512_testn_epi64_mask(_mm512_popcnt_epi64(xp), one);
+            kb = _mm512_test_epi64_mask(_mm512_popcnt_epi64(xp), one);
         } else {
-            tb = _mm512_testn_epi64_mask(nx, vb[0]);
+            kb = _mm512_test_epi64_mask(nx, vb[0]);
         }
         if (shape == CLAUSES4)
             for (int j = 1; j < 4; j++) {
-                ta |= _mm512_testn_epi64_mask(nx, va[j]);
-                tb |= _mm512_testn_epi64_mask(nx, vb[j]);
+                ka = _mm512_mask_test_epi64_mask(ka, nx, va[j]);
+                kb = _mm512_mask_test_epi64_mask(kb, nx, vb[j]);
             }
-        both = _mm512_mask_sub_epi64(both, ta & tb, both, minus1);
-        ca = _mm512_mask_sub_epi64(ca, ta, ca, minus1);
-        cb = _mm512_mask_sub_epi64(cb, tb, cb, minus1);
+        kboth = shape == CONJ_CONJ ? _mm512_test_epi64_mask(nx, vab)
+                                   : ka | kb;
+        fboth = _mm512_mask_add_epi64(fboth, kboth, fboth, one);
+        fa = _mm512_mask_add_epi64(fa, ka, fa, one);
+        fb = _mm512_mask_add_epi64(fb, kb, fb, one);
         z = _mm512_add_epi64(z, step);
     }
-    out[0] = _mm512_reduce_add_epi64(both);
-    out[1] = _mm512_reduce_add_epi64(ca);
-    out[2] = _mm512_reduce_add_epi64(cb);
+    out[0] = s8 - _mm512_reduce_add_epi64(fboth);
+    out[1] = s8 - _mm512_reduce_add_epi64(fa);
+    out[2] = s8 - _mm512_reduce_add_epi64(fb);
+}
+
+/* hand_loop with ifma a constant in each call, so that each loop holds
+ * one multiply. */
+AVX512 INLINE void hand_shape(enum shape shape, int ifma, uint64_t seed,
+                              int64_t s8, uint64_t dim, const uint64_t a[4],
+                              const uint64_t b[4], int64_t out[3])
+{
+    if (ifma)
+        hand_loop(shape, 1, seed, s8, dim, a, b, out);
+    else
+        hand_loop(shape, 0, seed, s8, dim, a, b, out);
 }
 
 /* count, by hand_loop for a fixed shape and its s mod 8 tail by
@@ -267,6 +297,7 @@ AVX512 void count_avx512(const unsigned char *frame, int64_t out[3])
 {
     uint64_t seed = word(frame, 0);
     int64_t s = (int64_t)word(frame, 1), s8 = s - s % 8;
+    int ifma = (int)word(frame, 2) <= IFMA_N;
     uint64_t dim = dim_of(frame), a[4], b[4];
     int64_t head[3];
     enum shape shape = shape_of(frame, a, b);
@@ -277,11 +308,11 @@ AVX512 void count_avx512(const unsigned char *frame, int64_t out[3])
     }
     /* each a constant, so that each loop holds one shape's tests */
     if (shape == CONJ_PARITY)
-        hand_loop(CONJ_PARITY, seed, s8, dim, a, b, head);
+        hand_shape(CONJ_PARITY, ifma, seed, s8, dim, a, b, head);
     else if (shape == CONJ_CONJ)
-        hand_loop(CONJ_CONJ, seed, s8, dim, a, b, head);
+        hand_shape(CONJ_CONJ, ifma, seed, s8, dim, a, b, head);
     else
-        hand_loop(CLAUSES4, seed, s8, dim, a, b, head);
+        hand_shape(CLAUSES4, ifma, seed, s8, dim, a, b, head);
     count_fixed(shape, seed + (uint64_t)s8 * GAMMA, s - s8, dim, a, b, out);
     for (int j = 0; j < 3; j++)
         out[j] += head[j];
@@ -295,7 +326,8 @@ int avx512(void)
     __builtin_cpu_init();
     return __builtin_cpu_supports("avx512f")
         && __builtin_cpu_supports("avx512dq")
-        && __builtin_cpu_supports("avx512vpopcntdq");
+        && __builtin_cpu_supports("avx512vpopcntdq")
+        && __builtin_cpu_supports("avx512ifma");
 #else
     return 0;
 #endif

@@ -15,10 +15,13 @@ with glibc on x86-64 it holds clones for AVX-512, AVX2 and the baseline,
 and the dynamic loader picks one for the CPU it runs on.  On x86-64 it
 also holds count_avx512, a loop written by hand in AVX-512 intrinsics for
 the pairs the experiments run (two conjunctions, a conjunction and a
-parity, two lists of up to 4 clauses); the import binds it when the
-library's avx512() says this CPU runs it, and count otherwise.  Both give
-the same counts, and LOOP names the one bound.  It draws each point
-inline, holds no buffers and needs no numpy.  When it cannot be
+parity, two lists of up to 4 clauses).  It counts where each side fails,
+a clause list by a chain of masked tests, and for n <= 21, where a point
+reads only the low 52 bits of the mixer's second product, does that
+multiply with IFMA.  The import binds it when the library's avx512() says
+this CPU runs AVX-512 F, DQ, VPOPCNTDQ and IFMA, and count otherwise.
+Both give the same counts, and LOOP names the one bound.  It draws each
+point inline, holds no buffers and needs no numpy.  When it cannot be
 built or loaded, _count_blocks runs: numpy over rng.sample_blocks with a
 few BLOCK-sized buffers per thread, kept across calls, so the memory used
 is bounded by the block size, not by s.  Only this fallback imports

@@ -2,10 +2,10 @@
 
 run executes a configured experiment and writes report.json, trace.csv,
 and summary.txt into the output directory; before the first trial it
-names the count backend on stderr, with why it fell back to numpy if it
-did.  Exit codes: 0 all golden checks passed, 1 golden-check failure, 2
-configuration problem.  info prints which count backend and loop run,
-what it was built with, and why it fell back to numpy if it did.
+names the count backend on stderr, with the loop it bound or why it fell
+back to numpy.  Exit codes: 0 all golden checks passed, 1 golden-check
+failure, 2 configuration problem.  info prints which count backend and
+loop run, what it was built with, and why it fell back to numpy if it did.
 
 main(argv) may be called many times in one process: the parser is built
 on the first call and reused, and each call looks its command's handler
@@ -126,7 +126,8 @@ def cmd_run(args) -> int:
         kwargs = experiment_kwargs(cfg)
         why = _kernels.FALLBACK
         print(f"backend: {_kernels.BACKEND}"
-              + (f" (fallback: {why})" if why else ""), file=sys.stderr)
+              + (f" (fallback: {why})" if why else f", loop: {_kernels.LOOP}"),
+              file=sys.stderr)
         report = REGISTRY[cfg.experiment](**kwargs)
     except _CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

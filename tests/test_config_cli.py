@@ -444,10 +444,9 @@ g = 30
 
 
 def backend_line():
-    line = f"backend: {_kernels.BACKEND}"
     if _kernels.FALLBACK is not None:
-        line += f" (fallback: {_kernels.FALLBACK})"
-    return line
+        return f"backend: numpy (fallback: {_kernels.FALLBACK})"
+    return f"backend: c, loop: {_kernels.LOOP}"
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -541,6 +540,10 @@ class TestCmdRun:
         assert main(["run", "--config", cfg, "--out", out]) == 0
         captured = capsys.readouterr()
         assert captured.err == backend_line() + "\n"
+        # the compiled backend names its loop, the fallback its reason
+        assert (captured.err in ("backend: c, loop: avx512\n",
+                                 "backend: c, loop: portable\n")
+                or captured.err.startswith("backend: numpy (fallback: "))
         assert "backend:" not in captured.out
 
     def test_says_why_it_fell_back(self, tmp_path):

@@ -181,6 +181,14 @@ class TestKernels:
         (WIDE[4], WIDE[1], 10),
         (dnf((1,), ()), dnf((1,)), 1),
         (dnf((1, 63), (2,), (32,)), dnf((63,), (1, 2), (3,), (4,), (5,)), 63),
+        # on each side of the hand loop's IFMA threshold, n <= 21, with a
+        # literal on the top variable, whose bit the 52-bit product lacks
+        # above it; and a pair of 3-clause DNFs at n = 20, as the oracle
+        # asks them
+        (conj(1, 21), conj(2, 21), 21),
+        (conj(1, 22), conj(2, 22), 22),
+        (dnf((1, 5, 9), (2, 14), (3, 17, 20)),
+         dnf((4, 8), (6, 11, 19), (7, 12, 13, 16)), 20),
     ]
     PARITY_CASES = [
         (conj(1, 2), parity(2, 4), 8),
@@ -195,6 +203,8 @@ class TestKernels:
         (parity(1, 2, 3), parity(2, 3), 8),
         (parity(1), parity(1), 1),
         (parity(1, 63), parity(2, 63), 63),
+        (conj(3, 21), parity(1, 21), 21),
+        (conj(3, 22), parity(1, 22), 22),
     ]
 
     @staticmethod
@@ -398,6 +408,21 @@ class TestBackend:
         if _kernels.BACKEND == "c":
             lib = ctypes.CDLL(_kernels.LIBRARY)
             assert (_kernels.LOOP == "avx512") == (lib.avx512() == 1)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or os.uname().machine != "x86_64",
+                        reason="reads /proc/cpuinfo of Linux on x86-64")
+    def test_avx512_probe_agrees_with_cpuinfo(self):
+        # the kernel's view of the CPU, a second source for the features
+        # __builtin_cpu_supports reads
+        if _kernels.BACKEND != "c":
+            pytest.skip("the compiled backend did not load here")
+        with open("/proc/cpuinfo") as f:
+            flags = next(line for line in f
+                         if line.startswith("flags")).split(":")[1].split()
+        needed = {"avx512f", "avx512dq", "avx512_vpopcntdq", "avx512ifma"}
+        lib = ctypes.CDLL(_kernels.LIBRARY)
+        assert lib.avx512() == int(needed <= set(flags))
 
     def test_library_without_the_hand_loop_is_portable(self, tmp_path,
                                                       monkeypatch):

@@ -128,7 +128,8 @@ def test_probe_landscape_runs(capsys):
 
 
 @pytest.mark.parametrize("script", ["scripts/run_all.py",
-                                    "scripts/probe_landscape.py"])
+                                    "scripts/probe_landscape.py",
+                                    "scripts/count_loops.py"])
 def test_script_runs_from_a_checkout(script, tmp_path):
     # no install and no PYTHONPATH: the script finds the package under src/
     env = {key: val for key, val in os.environ.items() if key != "PYTHONPATH"}
