@@ -40,14 +40,14 @@
  * of the three failure counts is one masked add, taken from s at the end.
  * Bit j of a point, j < n, is y_j ^ y_{j+31} of the second product y, so
  * for n <= 21 only bits 0..51 of y are read, and that multiply is one
- * vpmadd52luq (IFMA), where vpmullq takes 3 uops.  The s mod 8 tail and
- * every other pair run the loops above, so its counts are count's.  It is
- * built with gcc or clang on any x86-64 target, and avx512() says whether
- * this CPU and its OS run it, with AVX-512 F, DQ, VPOPCNTDQ and IFMA: Ice
- * Lake, Sapphire Rapids, Zen 4 and later (0 where it is not built); the
- * loader binds it where avx512() is 1, count elsewhere.  gcc emits no
- * vpopcntq for __builtin_popcountll, so even() pays a multiply in count
- * that count_avx512 does not.
+ * vpmadd52luq (IFMA), where vpmullq takes 3 uops.  The last step counts
+ * the s mod 8 points left under a lane mask; every other pair runs count.
+ * It is built with gcc or clang on any x86-64 target, and avx512() says
+ * whether this CPU and its OS run it, with AVX-512 F, DQ, VPOPCNTDQ and
+ * IFMA: Ice Lake, Sapphire Rapids, Zen 4 and later (0 where it is not
+ * built); the loader binds it where avx512() is 1, count elsewhere.  gcc
+ * emits no vpopcntq for __builtin_popcountll, so even() pays a multiply
+ * in count that count_avx512 does not.
  */
 #include <stdint.h>
 #include <string.h>
@@ -116,7 +116,8 @@ INLINE int64_t holds(uint64_t x, const unsigned char *w, int k,
     return t;
 }
 
-/* Inlined with constant widths and flags: one loop per pair of sides. */
+/* Inlined with constant widths and flags, one loop per pair of sides:
+ * with runtime ones, the loops of the fixed pairs do not vectorize. */
 INLINE void count_loop(uint64_t seed, int64_t s, uint64_t dim,
                               const unsigned char *a, int ka, int pa,
                               const unsigned char *b, int kb, int pb,
@@ -172,37 +173,27 @@ INLINE uint64_t dim_of(const unsigned char *frame)
     return (1ULL << (int)word(frame, 2)) - 1;
 }
 
-/* count_loop for a fixed shape, on its padded sides. */
-INLINE void count_fixed(enum shape shape, uint64_t seed, int64_t s,
-                        uint64_t dim, const uint64_t a[4],
-                        const uint64_t b[4], int64_t out[3])
-{
-    const unsigned char *a4 = (const unsigned char *)a;
-    const unsigned char *b4 = (const unsigned char *)b;
-
-    if (shape == CONJ_PARITY)
-        count_loop(seed, s, dim, a4, 1, 0, b4, 1, 1, out);
-    else if (shape == CONJ_CONJ)
-        count_loop(seed, s, dim, a4, 1, 0, b4, 1, 0, out);
-    else
-        count_loop(seed, s, dim, a4, 4, 0, b4, 4, 0, out);
-}
-
 CLONES
 void count(const unsigned char *frame, int64_t out[3])
 {
-    uint64_t seed = word(frame, 0);
+    uint64_t seed = word(frame, 0), dim = dim_of(frame);
     int64_t s = (int64_t)word(frame, 1);
     uint64_t a[4], b[4];
+    const unsigned char *a4 = (const unsigned char *)a;
+    const unsigned char *b4 = (const unsigned char *)b;
     enum shape shape = shape_of(frame, a, b);
 
-    if (shape == GENERIC) {
+    if (shape == CONJ_PARITY) {
+        count_loop(seed, s, dim, a4, 1, 0, b4, 1, 1, out);
+    } else if (shape == CONJ_CONJ) {
+        count_loop(seed, s, dim, a4, 1, 0, b4, 1, 0, out);
+    } else if (shape == CLAUSES4) {
+        count_loop(seed, s, dim, a4, 4, 0, b4, 4, 0, out);
+    } else {
         int ka = (int)word(frame, 3), pa = (int)word(frame, 4);
         int kb = (int)word(frame, 5), pb = (int)word(frame, 6);
         const unsigned char *wa = frame + 8 * 7, *wb = wa + 8 * (int64_t)ka;
-        count_loop(seed, s, dim_of(frame), wa, ka, pa, wb, kb, pb, out);
-    } else {
-        count_fixed(shape, seed, s, dim_of(frame), a, b, out);
+        count_loop(seed, s, dim, wa, ka, pa, wb, kb, pb, out);
     }
 }
 
@@ -215,13 +206,18 @@ void count(const unsigned char *frame, int64_t out[3])
 #define IFMA_N 21
 #define MASK52 ((1ULL << 52) - 1)
 
-/* count_loop over the first s8 points, s8 a multiple of 8, for a fixed
- * shape, with the second multiply done by IFMA (ifma, n <= IFMA_N) or in
- * full: point i + j in lane j, counting where each side fails. */
+/* count_loop for a fixed shape, with the second multiply done by IFMA
+ * (ifma, n <= IFMA_N) or in full: point i + j in lane j, counting where
+ * each side fails, and the last step's s mod 8 points under a lane mask.
+ * Its speed rests on gcc -O3 unswitching the loop on shape and ifma, both
+ * invariant, so that each copy holds one shape's tests and one multiply,
+ * and splitting it at full, so that only the last step takes the mask;
+ * scripts/count_loops.py times each fixed pair, which is how to check. */
 AVX512 INLINE void hand_loop(enum shape shape, int ifma, uint64_t seed,
-                             int64_t s8, uint64_t dim, const uint64_t a[4],
+                             int64_t s, uint64_t dim, const uint64_t a[4],
                              const uint64_t b[4], int64_t out[3])
 {
+    const int64_t full = s - s % 8;
     const __m512i step = _mm512_set1_epi64((int64_t)(8 * GAMMA));
     const __m512i c1 = _mm512_set1_epi64((int64_t)C1);
     const __m512i c2 = _mm512_set1_epi64((int64_t)(ifma ? C2 & MASK52 : C2));
@@ -244,7 +240,8 @@ AVX512 INLINE void hand_loop(enum shape shape, int ifma, uint64_t seed,
         va[j] = _mm512_set1_epi64((int64_t)a[j]);
         vb[j] = _mm512_set1_epi64((int64_t)b[j]);
     }
-    for (int64_t i = 0; i < s8; i += 8) {
+    for (int64_t i = 0; i < s; i += 8) {
+        __mmask8 live = i < full ? 0xFF : (__mmask8)((1u << (s - i)) - 1);
         __m512i y = _mm512_xor_si512(z, _mm512_srli_epi64(z, 30));
         y = _mm512_mullo_epi64(y, c1);
         y = _mm512_xor_si512(y, _mm512_srli_epi64(y, 27));
@@ -269,53 +266,27 @@ AVX512 INLINE void hand_loop(enum shape shape, int ifma, uint64_t seed,
             }
         kboth = shape == CONJ_CONJ ? _mm512_test_epi64_mask(nx, vab)
                                    : ka | kb;
-        fboth = _mm512_mask_add_epi64(fboth, kboth, fboth, one);
-        fa = _mm512_mask_add_epi64(fa, ka, fa, one);
-        fb = _mm512_mask_add_epi64(fb, kb, fb, one);
+        fboth = _mm512_mask_add_epi64(fboth, kboth & live, fboth, one);
+        fa = _mm512_mask_add_epi64(fa, ka & live, fa, one);
+        fb = _mm512_mask_add_epi64(fb, kb & live, fb, one);
         z = _mm512_add_epi64(z, step);
     }
-    out[0] = s8 - _mm512_reduce_add_epi64(fboth);
-    out[1] = s8 - _mm512_reduce_add_epi64(fa);
-    out[2] = s8 - _mm512_reduce_add_epi64(fb);
+    out[0] = s - _mm512_reduce_add_epi64(fboth);
+    out[1] = s - _mm512_reduce_add_epi64(fa);
+    out[2] = s - _mm512_reduce_add_epi64(fb);
 }
 
-/* hand_loop with ifma a constant in each call, so that each loop holds
- * one multiply. */
-AVX512 INLINE void hand_shape(enum shape shape, int ifma, uint64_t seed,
-                              int64_t s8, uint64_t dim, const uint64_t a[4],
-                              const uint64_t b[4], int64_t out[3])
-{
-    if (ifma)
-        hand_loop(shape, 1, seed, s8, dim, a, b, out);
-    else
-        hand_loop(shape, 0, seed, s8, dim, a, b, out);
-}
-
-/* count, by hand_loop for a fixed shape and its s mod 8 tail by
- * count_fixed; any other shape runs count. */
+/* count, by hand_loop for a fixed shape; any other shape runs count. */
 AVX512 void count_avx512(const unsigned char *frame, int64_t out[3])
 {
-    uint64_t seed = word(frame, 0);
-    int64_t s = (int64_t)word(frame, 1), s8 = s - s % 8;
-    int ifma = (int)word(frame, 2) <= IFMA_N;
-    uint64_t dim = dim_of(frame), a[4], b[4];
-    int64_t head[3];
+    uint64_t a[4], b[4];
     enum shape shape = shape_of(frame, a, b);
 
-    if (shape == GENERIC) {
+    if (shape == GENERIC)
         count(frame, out);
-        return;
-    }
-    /* each a constant, so that each loop holds one shape's tests */
-    if (shape == CONJ_PARITY)
-        hand_shape(CONJ_PARITY, ifma, seed, s8, dim, a, b, head);
-    else if (shape == CONJ_CONJ)
-        hand_shape(CONJ_CONJ, ifma, seed, s8, dim, a, b, head);
     else
-        hand_shape(CLAUSES4, ifma, seed, s8, dim, a, b, head);
-    count_fixed(shape, seed + (uint64_t)s8 * GAMMA, s - s8, dim, a, b, out);
-    for (int j = 0; j < 3; j++)
-        out[j] += head[j];
+        hand_loop(shape, (int)word(frame, 2) <= IFMA_N, word(frame, 0),
+                  (int64_t)word(frame, 1), dim_of(frame), a, b, out);
 }
 #endif
 

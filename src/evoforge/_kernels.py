@@ -10,27 +10,30 @@ with no float accumulation.
 
 Two backends give the same counts.  The compiled one is _count.c, built
 on first import by the system C compiler ($CC, else cc) with plain -O3
-and cached under $XDG_CACHE_HOME/evoforge (default ~/.cache/evoforge);
-with glibc on x86-64 it holds clones for AVX-512, AVX2 and the baseline,
-and the dynamic loader picks one for the CPU it runs on.  On x86-64 it
-also holds count_avx512, a loop written by hand in AVX-512 intrinsics for
-the pairs the experiments run (two conjunctions, a conjunction and a
-parity, two lists of up to 4 clauses).  It counts where each side fails,
-a clause list by a chain of masked tests, and for n <= 21, where a point
-reads only the low 52 bits of the mixer's second product, does that
-multiply with IFMA.  The import binds it when the library's avx512() says
-this CPU runs AVX-512 F, DQ, VPOPCNTDQ and IFMA, and count otherwise.
-Both give the same counts, and LOOP names the one bound.  It draws each
-point inline, holds no buffers and needs no numpy.  When it cannot be
-built or loaded, _count_blocks runs: numpy over rng.sample_blocks with a
-few BLOCK-sized buffers per thread, kept across calls, so the memory used
-is bounded by the block size, not by s.  Only this fallback imports
-numpy, on its first count, which also allocates the thread's buffers.
-BACKEND names the one that runs.  Tests check both against a pure-Python
-reference built on rng.mix64.
+and cached under $XDG_CACHE_HOME/evoforge (default ~/.cache/evoforge),
+or, where that cannot be written, in a temporary directory of its own
+process.  With glibc on x86-64 it holds clones for AVX-512, AVX2 and the
+baseline, and the dynamic loader picks one for the CPU it runs on.  On
+x86-64 it also holds count_avx512, a loop written by hand in AVX-512
+intrinsics for the pairs the experiments run (two conjunctions, a
+conjunction and a parity, two lists of up to 4 clauses).  It counts where
+each side fails, a clause list by a chain of masked tests, and for
+n <= 21, where a point reads only the low 52 bits of the mixer's second
+product, does that multiply with IFMA; its last step counts the s mod 8
+points left under a lane mask.  The import binds it when the library's
+avx512() says this CPU runs AVX-512 F, DQ, VPOPCNTDQ and IFMA, and count
+otherwise.  Both give the same counts, and LOOP names the one bound.  It
+draws each point inline, holds no buffers and needs no numpy.  When it
+cannot be built or loaded, _count_blocks runs: numpy over
+rng.sample_blocks with a few BLOCK-sized buffers per thread, kept across
+calls, so the memory used is bounded by the block size, not by s.  Only
+this fallback imports numpy, on its first count, which also allocates the
+thread's buffers.  BACKEND names the one that runs.  Tests check both
+against a pure-Python reference built on rng.mix64.
 """
 from __future__ import annotations
 
+import atexit
 import contextlib
 import ctypes
 import hashlib
@@ -65,13 +68,21 @@ def _library_path(source: bytes, compiler: str) -> str:
     return os.path.join(cache, "evoforge", f"count-{h.hexdigest()[:20]}.so")
 
 
-def _build(source: bytes, compiler: str, path: str) -> None:
+def _build(source: bytes, compiler: str, path: str) -> str:
     """Compile `source` to `path`, through a temporary file in the same
-    directory, so that no process ever loads a half-written library."""
+    directory, so that no process ever loads a half-written library, and
+    return the path built.  Where that directory cannot be made or written,
+    build into a new temporary directory instead, removed at exit."""
     import subprocess  # here, so that a cache hit does not import it
 
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(path))
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(path))
+    except OSError:
+        scratch = tempfile.mkdtemp(prefix="evoforge-")
+        atexit.register(shutil.rmtree, scratch, ignore_errors=True)
+        path = os.path.join(scratch, os.path.basename(path))
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=scratch)
     os.close(fd)
     try:
         done = subprocess.run([compiler, *_FLAGS, "-o", tmp, "-x", "c", "-"],
@@ -81,6 +92,7 @@ def _build(source: bytes, compiler: str, path: str) -> None:
             raise OSError(f"{compiler} exited {done.returncode}"
                           + (f": {first}" if first else ""))
         os.replace(tmp, path)
+        return path
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
@@ -115,8 +127,8 @@ def _pick(path: str):
 def _load_compiled():
     """(the compiled count loop of _count.c, its LOOP name, its library's
     path, None), or (None, "none", None, why not) when there is no
-    compiler, the compile fails, the cache cannot be written or the
-    library does not load.  A cache hit starts no process."""
+    compiler, the compile fails or the library does not load.  A cache hit
+    starts no process."""
     try:
         source = resources.files(__package__).joinpath("_count.c").read_bytes()
         compiler = _compiler()
@@ -125,7 +137,7 @@ def _load_compiled():
             return None, "none", None, why
         path = _library_path(source, compiler)
         if not os.path.exists(path):
-            _build(source, compiler, path)
+            path = _build(source, compiler, path)
         return (*_pick(path), path, None)
     except (OSError, AttributeError) as exc:
         return None, "none", None, str(exc)

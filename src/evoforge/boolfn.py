@@ -313,7 +313,7 @@ def exact_perf(r, f, n: int,
 
 
 # Kept only because perfbench/tracer.py wraps this name.  Like
-# experiments.evolve_conjunction_vs, it goes with ROADMAP item 1's tracer
+# experiments.evolve_conjunction_vs, it goes with ROADMAP item 3's tracer
 # change.
 def conj_perf_closed_form(a: MonotoneConjunction, b: MonotoneConjunction,
                           convention: OutputConvention = OutputConvention.SIGNED,

@@ -423,7 +423,7 @@ def run_parity(n: int = 10, parity_size: int = 4, epsilon: float = 0.5,
 
 
 # Kept only because perfbench/tracer.py wraps this name; it goes when the
-# tracer's WRAPPED list shrinks (ROADMAP item 1).  The alias is not inert
+# tracer's WRAPPED list shrinks (ROADMAP item 3).  The alias is not inert
 # under the tracer: it replaces every module attribute that is the wrapped
 # function, so evolve_conjunction is wrapped twice and each conjunction run
 # is a nested span counted under both names.  No per-layer metric reads

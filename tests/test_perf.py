@@ -483,17 +483,36 @@ class TestBackend:
             compiler() is not None)
         assert [p for p in opened if "cpuinfo" in p] == []
 
-    @pytest.mark.parametrize("case", ["compiler_fails", "cache_unwritable",
-                                      "library_corrupt"])
+    def test_unwritable_cache_builds_in_a_temporary_directory(self,
+                                                              tmp_path):
+        # a regular file where the cache directory would go: writes fail
+        # even for root, whom a read-only mode does not stop; cc builds the
+        # library also where CC forces the fallback
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH to build a library with")
+        cache, tmp = tmp_path / "cache", tmp_path / "tmp"
+        cache.write_bytes(b"")
+        tmp.mkdir()
+        env = {"CC": "cc", "XDG_CACHE_HOME": str(cache), "TMPDIR": str(tmp)}
+        assert probe_backend(env) == "c"
+        done = subprocess.run([sys.executable, "-m", "evoforge", "info"],
+                              env={**os.environ, **env,
+                                   "PYTHONPATH": os.path.join(ROOT, "src")},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        rows = dict(line.split(": ", 1) for line in done.stdout.splitlines())
+        assert rows["backend"] == "c"
+        assert rows["fallback"] == "none"
+        assert rows["library"].startswith(str(tmp / "evoforge-"))
+        # each process removes its own directory when it exits
+        assert list(tmp.iterdir()) == []
+
+    @pytest.mark.parametrize("case", ["compiler_fails", "library_corrupt"])
     def test_fallback_to_numpy(self, tmp_path, monkeypatch, case):
         cache = tmp_path / "cache"
         env = {"XDG_CACHE_HOME": str(cache)}
         if case == "compiler_fails":
             env["CC"] = "/bin/false"
-        elif case == "cache_unwritable":
-            # a regular file where the cache directory would go: writes
-            # fail even for root, whom a read-only mode does not stop
-            cache.write_bytes(b"")
         else:
             if compiler() is None:
                 pytest.skip("no compiler, so no cached library to corrupt")
@@ -514,11 +533,17 @@ class TestBackend:
 # an ISA this CPU lacks dies of SIGILL: a skip, not a crash of pytest.  And
 # the hand loop, count_avx512 of a default build, where avx512() says this
 # CPU runs it; the three ISA builds keep binding count, so the portable
-# loop stays checked on a CPU that runs the hand one.
+# loop stays checked on a CPU that runs the hand one.  And a default build
+# with no hand loop, as where HAND is not defined, binding its count.
 ISAS = {"baseline": (("-U__ELF__", "-march=x86-64"), "count"),
         "avx2": (("-U__ELF__", "-mavx2"), "count"),
         "x86-64-v4": (("-U__ELF__", "-march=x86-64-v4"), "count"),
-        "avx512": ((), "count_avx512")}
+        "avx512": ((), "count_avx512"),
+        "no_hand": ((), "count")}
+HAND = b"\n#define HAND\n"
+X86_CC = pytest.mark.skipif(os.uname().machine != "x86_64"
+                            or shutil.which("cc") is None,
+                            reason="no cc on PATH, or not an x86-64 machine")
 ISA_PROBE = """
 import ctypes, json, sys
 from evoforge import _kernels
@@ -532,17 +557,33 @@ print(json.dumps([_kernels._count_compiled(*c) for c in cases]))
 """
 
 
-@pytest.mark.skipif(os.uname().machine != "x86_64"
-                    or shutil.which("cc") is None,
-                    reason="no cc on PATH, or not an x86-64 machine")
-@pytest.mark.parametrize("isa", list(ISAS))
-def test_every_isa_build_matches_the_blocks(tmp_path, isa):
+def build_isa(tmp_path, isa):
+    """The library of ISAS[isa], built from _count.c into tmp_path."""
     lib = tmp_path / f"count-{isa}.so"
-    flags, name = ISAS[isa]
     source = resources.files("evoforge").joinpath("_count.c").read_bytes()
-    subprocess.run(["cc", "-O3", "-shared", "-fPIC", *flags,
+    if isa == "no_hand":
+        assert source.count(HAND) == 1
+        source = source.replace(HAND, b"\n")
+    subprocess.run(["cc", "-O3", "-shared", "-fPIC", *ISAS[isa][0],
                     "-o", str(lib), "-x", "c", "-"], input=source,
                    check=True, capture_output=True, timeout=60)
+    return lib
+
+
+@X86_CC
+def test_build_without_the_hand_loop_binds_count(tmp_path):
+    lib = build_isa(tmp_path, "no_hand")
+    dll = ctypes.CDLL(str(lib))
+    assert dll.avx512() == 0
+    assert not hasattr(dll, "count_avx512")
+    assert _kernels._pick(str(lib))[1] == "portable"
+
+
+@X86_CC
+@pytest.mark.parametrize("isa", list(ISAS))
+def test_every_isa_build_matches_the_blocks(tmp_path, isa):
+    lib = build_isa(tmp_path, isa)
+    name = ISAS[isa][1]
     # every loop, with sizes that end in each remainder of the 8- and
     # 4-lane loops and around a multiple of both; MASK64 - 5 wraps the
     # counter, in every lane of the hand loop, within the stream

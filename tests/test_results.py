@@ -6,7 +6,8 @@ file with its committed copy.  results/ holds the `scripts/run_all.py
 `counterexample`, `parity` and `structural_vs_functional` pin the exact
 oracle; the trial summaries and trace rows of all four evolution runs pin
 the evolution loop and the trial drivers.  Each run is made on both count
-backends: their counts come from the same stream, so the bytes match.
+backends, and on the compiled one with both of its loops where the hand
+loop is bound: their counts come from the same stream, so the bytes match.
 """
 from pathlib import Path
 
@@ -45,4 +46,15 @@ def test_run_reproduces_committed_results(tmp_path, capsys, name, extra):
 def test_numpy_backend_reproduces_committed_results(tmp_path, capsys,
                                                     monkeypatch, name, extra):
     monkeypatch.setattr(_kernels, "BACKEND", "numpy")
+    check_run(tmp_path, name, extra)
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "c",
+                    reason="the compiled backend did not load here")
+@pytest.mark.parametrize("name, extra", RUNS)
+def test_portable_loop_reproduces_committed_results(tmp_path, capsys,
+                                                    monkeypatch, name, extra):
+    # count of the loaded library, also where the import bound the hand loop
+    monkeypatch.setattr(_kernels, "_count_c",
+                        _kernels._bind(_kernels.LIBRARY, "count"))
     check_run(tmp_path, name, extra)
