@@ -29,25 +29,26 @@
  * loops are forced inline so that each clone holds its own copy.  Other
  * targets, musl among them (it has no ifunc), build the plain loop.
  *
- * count_avx512 is the same function written by hand in AVX-512 intrinsics
- * for the three fixed pairs, 8 points per step on the same stream.  It
- * counts failures, not hits: one ternlog turns the last xor and the mask
- * of the low n bits into ~x, and a clause fails where ~x & m is nonzero.
- * A list fails where each of its clauses fails, which one test and three
- * masked tests chained through a mask register give, with no mask-register
- * logic; two conjunctions are not both true where ~x & (a | b) is nonzero,
- * one test more.  A parity fails where the vpopcntq of x & p is odd.  Each
- * of the three failure counts is one masked add, taken from s at the end.
- * Bit j of a point, j < n, is y_j ^ y_{j+31} of the second product y, so
- * for n <= 21 only bits 0..51 of y are read, and that multiply is one
- * vpmadd52luq (IFMA), where vpmullq takes 3 uops.  The last step counts
- * the s mod 8 points left under a lane mask; every other pair runs count.
- * It is built with gcc or clang on any x86-64 target, and avx512() says
- * whether this CPU and its OS run it, with AVX-512 F, DQ, VPOPCNTDQ and
- * IFMA: Ice Lake, Sapphire Rapids, Zen 4 and later (0 where it is not
- * built); the loader binds it where avx512() is 1, count elsewhere.  gcc
- * emits no vpopcntq for __builtin_popcountll, so even() pays a multiply
- * in count that count_avx512 does not.
+ * count_avx512 is count written by hand in AVX-512 intrinsics for the
+ * three fixed pairs, on the same stream.  It counts failures, not hits: a
+ * clause m fails where ~x & m is nonzero, and one ternlog turns the
+ * mixer's last xor and the mask of the low n bits into ~x.  A list fails
+ * where each of its clauses fails, which one test and three masked tests
+ * chained through a mask register give, with no mask-register logic; two
+ * conjunctions are not both true where ~x & (a | b) is nonzero, one test
+ * more; a parity fails where the popcount of x & p, an andnot of ~x, is
+ * odd.  Each failure count is one masked add, taken from s at the end, and
+ * the last partial step counts its points under a lane mask.  For n <= 16
+ * and masks below 2^16, word_loop tests and counts 32 points a step in
+ * 16-bit lanes; any other frame runs hand_loop, 8 points a step in 64-bit
+ * lanes, and every other pair runs count.  For n <= IFMA_N both do the
+ * mixer's second multiply with IFMA.  It is built with gcc or clang on any
+ * x86-64 target, and avx512() says whether this CPU and its OS run it,
+ * with AVX-512 F, DQ, VPOPCNTDQ, IFMA, BW and BITALG: Ice Lake, Sapphire
+ * Rapids, Zen 4 and later (0 where it is not built); the loader binds it
+ * where avx512() is 1, count elsewhere.  gcc emits no vpopcntq for
+ * __builtin_popcountll, so even() pays a multiply in count that
+ * count_avx512 does not.
  */
 #include <stdint.h>
 #include <string.h>
@@ -199,66 +200,70 @@ void count(const unsigned char *frame, int64_t out[3])
 
 #ifdef HAND
 #define AVX512 __attribute__((target("avx512f,avx512dq,avx512vpopcntdq," \
-                                     "avx512ifma")))
+                                     "avx512ifma,avx512bw,avx512bitalg")))
 
-/* The largest n whose points read only bits 0..51 of the second product:
- * bit n - 1 of a point reads bit n + 30. */
+/* The largest n whose points read only bits 0..51 of the second product
+ * y, whose bit j, j < n, is y_j ^ y_{j+31}: there that multiply is one
+ * vpmadd52luq, where vpmullq takes 3 uops. */
 #define IFMA_N 21
 #define MASK52 ((1ULL << 52) - 1)
 
-/* count_loop for a fixed shape, with the second multiply done by IFMA
- * (ifma, n <= IFMA_N) or in full: point i + j in lane j, counting where
- * each side fails, and the last step's s mod 8 points under a lane mask.
+/* ~point(z_j, dim) in lane j, with the second multiply done by IFMA
+ * (ifma, n <= IFMA_N) or in full. */
+AVX512 INLINE __m512i not_points(__m512i z, uint64_t dim, int ifma)
+{
+    const __m512i c2 = _mm512_set1_epi64((int64_t)(ifma ? C2 & MASK52 : C2));
+    __m512i y = _mm512_xor_si512(z, _mm512_srli_epi64(z, 30));
+    y = _mm512_mullo_epi64(y, _mm512_set1_epi64((int64_t)C1));
+    y = _mm512_xor_si512(y, _mm512_srli_epi64(y, 27));
+    y = ifma ? _mm512_madd52lo_epu64(_mm512_setzero_si512(), y, c2)
+             : _mm512_mullo_epi64(y, c2);
+    /* 0xD7 is ~((y ^ y31) & dim) */
+    return _mm512_ternarylogic_epi64(y, _mm512_srli_epi64(y, 31),
+                                     _mm512_set1_epi64((int64_t)dim), 0xD7);
+}
+
+/* seed + (j+1)*GAMMA in lane j: the counters of the first 8 points. */
+AVX512 INLINE __m512i counters(uint64_t seed)
+{
+    return _mm512_add_epi64(_mm512_set1_epi64((int64_t)seed),
+        _mm512_mullo_epi64(_mm512_set_epi64(8, 7, 6, 5, 4, 3, 2, 1),
+                           _mm512_set1_epi64((int64_t)GAMMA)));
+}
+
+/* count_loop for a fixed shape, 8 points a step, point i + j in lane j.
  * Its speed rests on gcc -O3 unswitching the loop on shape and ifma, both
  * invariant, so that each copy holds one shape's tests and one multiply,
- * and splitting it at full, so that only the last step takes the mask;
- * scripts/count_loops.py times each fixed pair, which is how to check. */
+ * and, as word_loop's does, on splitting it at the last step, so that only
+ * that step takes the mask; scripts/count_loops.py times each fixed pair,
+ * which is how to check.  left counts down, so no s below 2^63 wraps it. */
 AVX512 INLINE void hand_loop(enum shape shape, int ifma, uint64_t seed,
                              int64_t s, uint64_t dim, const uint64_t a[4],
                              const uint64_t b[4], int64_t out[3])
 {
-    const int64_t full = s - s % 8;
     const __m512i step = _mm512_set1_epi64((int64_t)(8 * GAMMA));
-    const __m512i c1 = _mm512_set1_epi64((int64_t)C1);
-    const __m512i c2 = _mm512_set1_epi64((int64_t)(ifma ? C2 & MASK52 : C2));
-    const __m512i dimv = _mm512_set1_epi64((int64_t)dim);
-    /* the parity's mask within dim, so that one ternlog gives x & p */
+    /* the parity's mask within dim: ~x & pdim is x & p */
     const __m512i pdim = _mm512_set1_epi64((int64_t)(b[0] & dim));
     /* two conjunctions are not both true where ~x & (a | b) is nonzero */
     const __m512i vab = _mm512_set1_epi64((int64_t)(a[0] | b[0]));
     const __m512i one = _mm512_set1_epi64(1);
-    const __m512i zero = _mm512_setzero_si512();
-    __m512i va[4], vb[4];
-    __m512i z = _mm512_set_epi64(
-        (int64_t)(seed + 8 * GAMMA), (int64_t)(seed + 7 * GAMMA),
-        (int64_t)(seed + 6 * GAMMA), (int64_t)(seed + 5 * GAMMA),
-        (int64_t)(seed + 4 * GAMMA), (int64_t)(seed + 3 * GAMMA),
-        (int64_t)(seed + 2 * GAMMA), (int64_t)(seed + GAMMA));
-    __m512i fboth = zero, fa = zero, fb = zero;
+    __m512i va[4], vb[4], z = counters(seed);
+    __m512i fboth = _mm512_setzero_si512(), fa = fboth, fb = fboth;
 
     for (int j = 0; j < 4; j++) {
         va[j] = _mm512_set1_epi64((int64_t)a[j]);
         vb[j] = _mm512_set1_epi64((int64_t)b[j]);
     }
-    for (int64_t i = 0; i < s; i += 8) {
-        __mmask8 live = i < full ? 0xFF : (__mmask8)((1u << (s - i)) - 1);
-        __m512i y = _mm512_xor_si512(z, _mm512_srli_epi64(z, 30));
-        y = _mm512_mullo_epi64(y, c1);
-        y = _mm512_xor_si512(y, _mm512_srli_epi64(y, 27));
-        y = ifma ? _mm512_madd52lo_epu64(zero, y, c2)
-                 : _mm512_mullo_epi64(y, c2);
-        __m512i y31 = _mm512_srli_epi64(y, 31);
-        /* 0xD7 is ~((y ^ y31) & dim): ~x */
-        __m512i nx = _mm512_ternarylogic_epi64(y, y31, dimv, 0xD7);
+    for (int64_t left = s; left > 0; left -= 8) {
+        __mmask8 live = left >= 8 ? 0xFF : (__mmask8)((1u << left) - 1);
+        __m512i nx = not_points(z, dim, ifma);
         __mmask8 ka = _mm512_test_epi64_mask(nx, va[0]), kb, kboth;
 
-        if (shape == CONJ_PARITY) {
-            /* 0x28 is (y ^ y31) & pdim: x & p */
-            __m512i xp = _mm512_ternarylogic_epi64(y, y31, pdim, 0x28);
-            kb = _mm512_test_epi64_mask(_mm512_popcnt_epi64(xp), one);
-        } else {
+        if (shape == CONJ_PARITY)
+            kb = _mm512_test_epi64_mask(
+                _mm512_popcnt_epi64(_mm512_andnot_si512(nx, pdim)), one);
+        else
             kb = _mm512_test_epi64_mask(nx, vb[0]);
-        }
         if (shape == CLAUSES4)
             for (int j = 1; j < 4; j++) {
                 ka = _mm512_mask_test_epi64_mask(ka, nx, va[j]);
@@ -276,17 +281,88 @@ AVX512 INLINE void hand_loop(enum shape shape, int ifma, uint64_t seed,
     out[2] = s - _mm512_reduce_add_epi64(fb);
 }
 
-/* count, by hand_loop for a fixed shape; any other shape runs count. */
+/* hand_loop in 16-bit lanes, for n <= 16 and masks below 2^16, 32 points
+ * a step: four steps of not_points (by IFMA, as 16 < IFMA_N), packed by
+ * keeping the low word of each lane, point i + j in lane j.  A lane counts
+ * at most one failure a step, so the counters are flushed every 32,767
+ * steps, before any leaves the signed range vpmaddwd reads.  gcc keeps the
+ * shape tests in this loop as branches; a copy per shape ran no faster. */
+AVX512 INLINE void word_loop(enum shape shape, uint64_t seed, int64_t s,
+                             uint64_t dim, const uint64_t a[4],
+                             const uint64_t b[4], int64_t out[3])
+{
+    /* dwords 0, 2, .., 30 of a pair of vectors, then words 0, 2, .., 62 */
+    const __m512i lo32 = _mm512_set_epi32(30, 28, 26, 24, 22, 20, 18, 16,
+                                          14, 12, 10, 8, 6, 4, 2, 0);
+    const __m512i lo16 = _mm512_set_epi16(
+        62, 60, 58, 56, 54, 52, 50, 48, 46, 44, 42, 40, 38, 36, 34, 32,
+        30, 28, 26, 24, 22, 20, 18, 16, 14, 12, 10, 8, 6, 4, 2, 0);
+    const __m512i step = _mm512_set1_epi64((int64_t)(32 * GAMMA));
+    const __m512i pdim = _mm512_set1_epi16((short)(b[0] & dim));
+    const __m512i vab = _mm512_set1_epi16((short)(a[0] | b[0]));
+    const __m512i one = _mm512_set1_epi16(1);
+    __m512i va[4], vb[4], z[4], f[3] = {{0}};
+    int64_t fail[3] = {0, 0, 0};
+    int t = 0;  /* steps since the last flush */
+
+    for (int j = 0; j < 4; j++) {
+        va[j] = _mm512_set1_epi16((short)a[j]);
+        vb[j] = _mm512_set1_epi16((short)b[j]);
+        z[j] = counters(seed + 8 * (uint64_t)j * GAMMA);
+    }
+    for (int64_t left = s; left > 0; left -= 32) {
+        __mmask32 live = left >= 32 ? 0xFFFFFFFFu : 0xFFFFFFFFu >> (32 - left);
+        __m512i nx[4];
+        for (int j = 0; j < 4; j++) {
+            nx[j] = not_points(z[j], dim, 1);
+            z[j] = _mm512_add_epi64(z[j], step);
+        }
+        __m512i w = _mm512_permutex2var_epi16(
+            _mm512_permutex2var_epi32(nx[0], lo32, nx[1]), lo16,
+            _mm512_permutex2var_epi32(nx[2], lo32, nx[3]));
+        __mmask32 ka = _mm512_test_epi16_mask(w, va[0]), kb, kboth;
+
+        if (shape == CONJ_PARITY)
+            kb = _mm512_test_epi16_mask(
+                _mm512_popcnt_epi16(_mm512_andnot_si512(w, pdim)), one);
+        else
+            kb = _mm512_test_epi16_mask(w, vb[0]);
+        if (shape == CLAUSES4)
+            for (int j = 1; j < 4; j++) {
+                ka = _mm512_mask_test_epi16_mask(ka, w, va[j]);
+                kb = _mm512_mask_test_epi16_mask(kb, w, vb[j]);
+            }
+        kboth = shape == CONJ_CONJ ? _mm512_test_epi16_mask(w, vab) : ka | kb;
+        f[0] = _mm512_mask_add_epi16(f[0], kboth & live, f[0], one);
+        f[1] = _mm512_mask_add_epi16(f[1], ka & live, f[1], one);
+        f[2] = _mm512_mask_add_epi16(f[2], kb & live, f[2], one);
+        if (++t < 32767 && left > 32)
+            continue;
+        for (int j = 0; j < 3; j++) {  /* flush */
+            fail[j] += _mm512_reduce_add_epi32(_mm512_madd_epi16(f[j], one));
+            f[j] = _mm512_setzero_si512();
+        }
+        t = 0;
+    }
+    for (int j = 0; j < 3; j++)
+        out[j] = s - fail[j];
+}
+
+/* count, by word_loop or hand_loop for a fixed shape; any other shape
+ * runs count. */
 AVX512 void count_avx512(const unsigned char *frame, int64_t out[3])
 {
-    uint64_t a[4], b[4];
+    uint64_t a[4], b[4], seed = word(frame, 0), dim = dim_of(frame);
     enum shape shape = shape_of(frame, a, b);
+    int64_t s = (int64_t)word(frame, 1), n = (int64_t)word(frame, 2);
 
     if (shape == GENERIC)
         count(frame, out);
+    else if (n <= 16 && (a[0] | a[1] | a[2] | a[3] | b[0] | b[1] | b[2]
+                         | b[3]) >> 16 == 0)
+        word_loop(shape, seed, s, dim, a, b, out);
     else
-        hand_loop(shape, (int)word(frame, 2) <= IFMA_N, word(frame, 0),
-                  (int64_t)word(frame, 1), dim_of(frame), a, b, out);
+        hand_loop(shape, n <= IFMA_N, seed, s, dim, a, b, out);
 }
 #endif
 
@@ -298,7 +374,9 @@ int avx512(void)
     return __builtin_cpu_supports("avx512f")
         && __builtin_cpu_supports("avx512dq")
         && __builtin_cpu_supports("avx512vpopcntdq")
-        && __builtin_cpu_supports("avx512ifma");
+        && __builtin_cpu_supports("avx512ifma")
+        && __builtin_cpu_supports("avx512bw")
+        && __builtin_cpu_supports("avx512bitalg");
 #else
     return 0;
 #endif

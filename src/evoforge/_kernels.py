@@ -19,10 +19,13 @@ intrinsics for the pairs the experiments run (two conjunctions, a
 conjunction and a parity, two lists of up to 4 clauses).  It counts where
 each side fails, a clause list by a chain of masked tests, and for
 n <= 21, where a point reads only the low 52 bits of the mixer's second
-product, does that multiply with IFMA; its last step counts the s mod 8
-points left under a lane mask.  The import binds it when the library's
-avx512() says this CPU runs AVX-512 F, DQ, VPOPCNTDQ and IFMA, and count
-otherwise.  Both give the same counts, and LOOP names the one bound.  It
+product, does that multiply with IFMA.  For n <= 16 with every mask below
+2^16 it tests and counts 32 points a step in 16-bit lanes, adding its
+counters into 64-bit totals every 32,767 steps; any other pair of those
+runs 8 points a step in 64-bit lanes.  The last step counts the points
+left under a lane mask.  The import binds it when the library's avx512()
+says this CPU runs AVX-512 F, DQ, VPOPCNTDQ, IFMA, BW and BITALG, and
+count otherwise.  Both give the same counts, and LOOP names the one bound.  It
 draws each point inline, holds no buffers and needs no numpy.  When it
 cannot be built or loaded, _count_blocks runs: numpy over
 rng.sample_blocks with a few BLOCK-sized buffers per thread, kept across

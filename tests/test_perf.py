@@ -189,6 +189,12 @@ class TestKernels:
         (conj(1, 22), conj(2, 22), 22),
         (dnf((1, 5, 9), (2, 14), (3, 17, 20)),
          dnf((4, 8), (6, 11, 19), (7, 12, 13, 16)), 20),
+        # on each side of its 16-bit lanes, n <= 16, likewise; and a pair
+        # of 3-clause DNFs in them
+        (conj(1, 16), conj(2, 16), 16),
+        (conj(1, 17), conj(2, 17), 17),
+        (dnf((1, 5, 9), (2, 14), (3, 15, 16)),
+         dnf((4, 8), (6, 11, 16), (7, 12, 13)), 16),
     ]
     PARITY_CASES = [
         (conj(1, 2), parity(2, 4), 8),
@@ -205,6 +211,8 @@ class TestKernels:
         (parity(1, 63), parity(2, 63), 63),
         (conj(3, 21), parity(1, 21), 21),
         (conj(3, 22), parity(1, 22), 22),
+        (conj(3, 16), parity(1, 16), 16),
+        (conj(3, 17), parity(1, 17), 17),
     ]
 
     @staticmethod
@@ -212,8 +220,8 @@ class TestKernels:
         # Each count loop, the public wrappers on each backend, and the
         # estimate, against the pure-Python reference; then at and across
         # block boundaries against counts over the whole sample array.
-        # s = 1..17 ends in every remainder of the 8- and 4-lane loops.
-        for s in (*range(1, 18), 4096, BLOCK - 1, BLOCK, BLOCK + 1):
+        # s = 1..33 ends in every remainder of the 32-, 8- and 4-lane loops.
+        for s in (*range(1, 34), 4096, BLOCK - 1, BLOCK, BLOCK + 1):
             want = (reference_counts(seed, s, a, b, n) if s <= 4096
                     else array_counts(seed, s, a, b, n))
             sides = (a.masks, a.is_parity, b.masks, b.is_parity)
@@ -240,6 +248,27 @@ class TestKernels:
         for a, b, n in self.PARITY_CASES:
             for seed in (0, 9, MASK64 - 5):
                 self.check_kernel(monkeypatch, a, b, n, seed)
+
+    def test_word_counters_flush(self):
+        # past the hand loop's first flush of its 16-bit counters, after
+        # 32,767 steps of 32 points, where a conjunction of all 16
+        # variables has failed in nearly every lane at every step
+        a, b, n, s = conj(*range(1, 17)), conj(1), 16, 32 * 32767 + 33
+        want = array_counts(5, s, a, b, n)
+        for kernel in KERNELS.values():
+            assert kernel(5, s, a.masks, False, b.masks, False, n) == want
+
+    def test_mask_above_the_word_lanes(self, monkeypatch):
+        # a mask bit above x16 at n = 10, which only a direct call gives,
+        # keeps each fixed pair off the hand loop's 16-bit lanes
+        high = 1 << 16
+        for sides in (((high | 0b11,), False, (0b110,), False),
+                      ((0b11,), False, (high | 0b101,), True),
+                      ((0b11, high | 0b100), False, (0b110,), False)):
+            for seed, s in ((0, 33), (9, 4097)):
+                args = (seed, s, *sides, 10)
+                for _ in each_backend(monkeypatch):
+                    assert counts(*args) == _count_blocks(*args)
 
     def test_kernels_match_the_sampled_reference(self, monkeypatch):
         # against the functions' own truth_batch over rng.sample_blocks
@@ -420,7 +449,8 @@ class TestBackend:
         with open("/proc/cpuinfo") as f:
             flags = next(line for line in f
                          if line.startswith("flags")).split(":")[1].split()
-        needed = {"avx512f", "avx512dq", "avx512_vpopcntdq", "avx512ifma"}
+        needed = {"avx512f", "avx512dq", "avx512_vpopcntdq", "avx512ifma",
+                  "avx512bw", "avx512_bitalg"}
         lib = ctypes.CDLL(_kernels.LIBRARY)
         assert lib.avx512() == int(needed <= set(flags))
 
@@ -584,13 +614,13 @@ def test_build_without_the_hand_loop_binds_count(tmp_path):
 def test_every_isa_build_matches_the_blocks(tmp_path, isa):
     lib = build_isa(tmp_path, isa)
     name = ISAS[isa][1]
-    # every loop, with sizes that end in each remainder of the 8- and
-    # 4-lane loops and around a multiple of both; MASK64 - 5 wraps the
+    # every loop, with sizes that end in each remainder of the 32-, 8- and
+    # 4-lane loops and around a multiple of all three; MASK64 - 5 wraps the
     # counter, in every lane of the hand loop, within the stream
     cases = [(seed, s, a.masks, a.is_parity, b.masks, b.is_parity, n)
              for a, b, n in TestKernels.CASES + TestKernels.PARITY_CASES
              for seed in (0, MASK64 - 5)
-             for s in (*range(1, 18), 4095, 4096, 4097)]
+             for s in (*range(1, 34), 4095, 4096, 4097)]
     # CC=/bin/false: the import builds and loads no library of its own
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src"),
            "CC": "/bin/false", "XDG_CACHE_HOME": str(tmp_path / "cache")}
