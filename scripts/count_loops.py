@@ -29,19 +29,20 @@ from evoforge.funcspec import parse_function  # noqa: E402
 SEED, S, CALLS = 12345, 2_000_000, 15
 # name: (a, b, n): a pair for each of the three shapes with a loop of
 # their own, the three DNF pairs in the padded 4x4 clause-list shape.  In
-# count_avx512 the pairs marked 16-bit run the loop in 16-bit lanes, 32
-# points a step (n <= 16 and every mask below 2^16), the others the loop
-# in 64-bit lanes, 8 a step; conj_conj_n17 is conj_conj's pair on that
-# side.  The mixer's second multiply is IFMA's for n <= 21 and in full
-# above, so dnf3_dnf3_n30 times the arm without IFMA on dnf3_dnf3's pair.
+# count_avx512 the masks choose the loop: the pairs marked 16-bit (every
+# mask below 2^16) run 32 points a step in 16-bit lanes, the others 8 a
+# step in 64-bit lanes, with the mixer's second multiply IFMA's where
+# every mask is below 2^21 and in full above.  conj_conj_n17 is conj_conj's
+# pair at n = 17, and dnf3_dnf3_n30, with a literal on x30, times the arm
+# without IFMA.
 PAIRS = {
     "conj_dnf3": ("x1&x2", "x1&x4&x5 | x2&x4&x6 | x3&x7&x8", 8),  # 16-bit
     "dnf3_dnf3": ("x1&x5&x9 | x2&x14 | x3&x17&x20",
-                  "x4&x8 | x6&x11&x19 | x7&x12&x13&x16", 20),  # 64-bit
-    "dnf3_dnf3_n30": ("x1&x5&x9 | x2&x14 | x3&x17&x20",
+                  "x4&x8 | x6&x11&x19 | x7&x12&x13&x16", 20),  # 64-bit, IFMA
+    "dnf3_dnf3_n30": ("x1&x5&x9 | x2&x14 | x3&x17&x30",
                       "x4&x8 | x6&x11&x19 | x7&x12&x13&x16", 30),  # 64-bit
     "conj_conj": ("x1&x2&x4", "x2&x3", 10),  # 16-bit
-    "conj_conj_n17": ("x1&x2&x4", "x2&x3", 17),  # 64-bit
+    "conj_conj_n17": ("x1&x2&x4", "x2&x3", 17),  # 16-bit
     "conj_parity": ("x1&x2&x4", "parity(x1,x2,x3,x4)", 10),  # 16-bit
 }
 

@@ -37,18 +37,17 @@
  * chained through a mask register give, with no mask-register logic; two
  * conjunctions are not both true where ~x & (a | b) is nonzero, one test
  * more; a parity fails where the popcount of x & p, an andnot of ~x, is
- * odd.  Each failure count is one masked add, taken from s at the end, and
- * the last partial step counts its points under a lane mask.  For n <= 16
- * and masks below 2^16, word_loop tests and counts 32 points a step in
- * 16-bit lanes; any other frame runs hand_loop, 8 points a step in 64-bit
- * lanes, and every other pair runs count.  For n <= IFMA_N both do the
- * mixer's second multiply with IFMA.  It is built with gcc or clang on any
- * x86-64 target, and avx512() says whether this CPU and its OS run it,
- * with AVX-512 F, DQ, VPOPCNTDQ, IFMA, BW and BITALG: Ice Lake, Sapphire
- * Rapids, Zen 4 and later (0 where it is not built); the loader binds it
- * where avx512() is 1, count elsewhere.  gcc emits no vpopcntq for
- * __builtin_popcountll, so even() pays a multiply in count that
- * count_avx512 does not.
+ * odd.  The failures are counted and taken from s at the end, and the
+ * last partial step counts its points under a lane mask.  word_loop tests
+ * 32 points a step in 16-bit lanes, hand_loop 8 in 64-bit lanes, and
+ * count_avx512 says which frame takes which, and where the mixer's second
+ * multiply is IFMA's; every other pair runs count.  It is built with gcc
+ * or clang on any x86-64 target, and avx512() says whether this CPU and
+ * its OS run it, with AVX-512 F, DQ, VPOPCNTDQ, IFMA, BW and BITALG: Ice
+ * Lake, Sapphire Rapids, Zen 4 and later (0 where it is not built); the
+ * loader binds it where avx512() is 1, count elsewhere.  gcc emits no
+ * vpopcntq for __builtin_popcountll, so even() pays a multiply in count
+ * that count_avx512 does not.
  */
 #include <stdint.h>
 #include <string.h>
@@ -202,14 +201,14 @@ void count(const unsigned char *frame, int64_t out[3])
 #define AVX512 __attribute__((target("avx512f,avx512dq,avx512vpopcntdq," \
                                      "avx512ifma,avx512bw,avx512bitalg")))
 
-/* The largest n whose points read only bits 0..51 of the second product
- * y, whose bit j, j < n, is y_j ^ y_{j+31}: there that multiply is one
+/* Bit j of a point is y_j ^ y_{j+31} of the second product y, so masks
+ * below 2^IFMA_N read only bits 0..51 of it: there that multiply is one
  * vpmadd52luq, where vpmullq takes 3 uops. */
 #define IFMA_N 21
 #define MASK52 ((1ULL << 52) - 1)
 
 /* ~point(z_j, dim) in lane j, with the second multiply done by IFMA
- * (ifma, n <= IFMA_N) or in full. */
+ * (ifma: every mask below 2^IFMA_N) or in full. */
 AVX512 INLINE __m512i not_points(__m512i z, uint64_t dim, int ifma)
 {
     const __m512i c2 = _mm512_set1_epi64((int64_t)(ifma ? C2 & MASK52 : C2));
@@ -281,12 +280,11 @@ AVX512 INLINE void hand_loop(enum shape shape, int ifma, uint64_t seed,
     out[2] = s - _mm512_reduce_add_epi64(fb);
 }
 
-/* hand_loop in 16-bit lanes, for n <= 16 and masks below 2^16, 32 points
- * a step: four steps of not_points (by IFMA, as 16 < IFMA_N), packed by
- * keeping the low word of each lane, point i + j in lane j.  A lane counts
- * at most one failure a step, so the counters are flushed every 32,767
- * steps, before any leaves the signed range vpmaddwd reads.  gcc keeps the
- * shape tests in this loop as branches; a copy per shape ran no faster. */
+/* hand_loop in 16-bit lanes, for masks below 2^16, 32 points a step: four
+ * steps of not_points (by IFMA, as 16 < IFMA_N), packed by keeping the low
+ * word of each lane, point i + j in lane j.  Each failure mask adds its
+ * popcount to a 64-bit total.  gcc keeps the shape tests in this loop as
+ * branches; a copy per shape ran no faster. */
 AVX512 INLINE void word_loop(enum shape shape, uint64_t seed, int64_t s,
                              uint64_t dim, const uint64_t a[4],
                              const uint64_t b[4], int64_t out[3])
@@ -301,9 +299,8 @@ AVX512 INLINE void word_loop(enum shape shape, uint64_t seed, int64_t s,
     const __m512i pdim = _mm512_set1_epi16((short)(b[0] & dim));
     const __m512i vab = _mm512_set1_epi16((short)(a[0] | b[0]));
     const __m512i one = _mm512_set1_epi16(1);
-    __m512i va[4], vb[4], z[4], f[3] = {{0}};
-    int64_t fail[3] = {0, 0, 0};
-    int t = 0;  /* steps since the last flush */
+    __m512i va[4], vb[4], z[4];
+    int64_t fboth = 0, fa = 0, fb = 0;
 
     for (int j = 0; j < 4; j++) {
         va[j] = _mm512_set1_epi16((short)a[j]);
@@ -333,36 +330,34 @@ AVX512 INLINE void word_loop(enum shape shape, uint64_t seed, int64_t s,
                 kb = _mm512_mask_test_epi16_mask(kb, w, vb[j]);
             }
         kboth = shape == CONJ_CONJ ? _mm512_test_epi16_mask(w, vab) : ka | kb;
-        f[0] = _mm512_mask_add_epi16(f[0], kboth & live, f[0], one);
-        f[1] = _mm512_mask_add_epi16(f[1], ka & live, f[1], one);
-        f[2] = _mm512_mask_add_epi16(f[2], kb & live, f[2], one);
-        if (++t < 32767 && left > 32)
-            continue;
-        for (int j = 0; j < 3; j++) {  /* flush */
-            fail[j] += _mm512_reduce_add_epi32(_mm512_madd_epi16(f[j], one));
-            f[j] = _mm512_setzero_si512();
-        }
-        t = 0;
+        fboth += __builtin_popcount(kboth & live);
+        fa += __builtin_popcount(ka & live);
+        fb += __builtin_popcount(kb & live);
     }
-    for (int j = 0; j < 3; j++)
-        out[j] = s - fail[j];
+    out[0] = s - fboth;
+    out[1] = s - fa;
+    out[2] = s - fb;
 }
 
 /* count, by word_loop or hand_loop for a fixed shape; any other shape
- * runs count. */
+ * runs count.  The masks alone choose: a test reads only their bits, so
+ * with every mask below 2^16 the low word of each point is all it reads,
+ * and below 2^IFMA_N the low 52 bits of the second product. */
 AVX512 void count_avx512(const unsigned char *frame, int64_t out[3])
 {
     uint64_t a[4], b[4], seed = word(frame, 0), dim = dim_of(frame);
     enum shape shape = shape_of(frame, a, b);
-    int64_t s = (int64_t)word(frame, 1), n = (int64_t)word(frame, 2);
+    int64_t s = (int64_t)word(frame, 1);
 
-    if (shape == GENERIC)
+    if (shape == GENERIC) {
         count(frame, out);
-    else if (n <= 16 && (a[0] | a[1] | a[2] | a[3] | b[0] | b[1] | b[2]
-                         | b[3]) >> 16 == 0)
+        return;
+    }
+    uint64_t all = a[0] | a[1] | a[2] | a[3] | b[0] | b[1] | b[2] | b[3];
+    if (all >> 16 == 0)
         word_loop(shape, seed, s, dim, a, b, out);
     else
-        hand_loop(shape, n <= IFMA_N, seed, s, dim, a, b, out);
+        hand_loop(shape, all >> IFMA_N == 0, seed, s, dim, a, b, out);
 }
 #endif
 

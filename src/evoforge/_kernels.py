@@ -17,16 +17,14 @@ baseline, and the dynamic loader picks one for the CPU it runs on.  On
 x86-64 it also holds count_avx512, a loop written by hand in AVX-512
 intrinsics for the pairs the experiments run (two conjunctions, a
 conjunction and a parity, two lists of up to 4 clauses).  It counts where
-each side fails, a clause list by a chain of masked tests, and for
-n <= 21, where a point reads only the low 52 bits of the mixer's second
-product, does that multiply with IFMA.  For n <= 16 with every mask below
-2^16 it tests and counts 32 points a step in 16-bit lanes, adding its
-counters into 64-bit totals every 32,767 steps; any other pair of those
-runs 8 points a step in 64-bit lanes.  The last step counts the points
-left under a lane mask.  The import binds it when the library's avx512()
-says this CPU runs AVX-512 F, DQ, VPOPCNTDQ, IFMA, BW and BITALG, and
-count otherwise.  Both give the same counts, and LOOP names the one bound.  It
-draws each point inline, holds no buffers and needs no numpy.  When it
+each side fails, a clause list by a chain of masked tests, in 16-bit lanes
+32 points a step or in 64-bit lanes 8 a step, and does the mixer's second
+multiply with IFMA where the masks allow; _count.c's count_avx512 states
+which frame takes which.  The last step counts the points left under a
+lane mask.  The import binds it when the library's avx512() says this CPU
+runs AVX-512 F, DQ, VPOPCNTDQ, IFMA, BW and BITALG, and count otherwise.
+Both give the same counts, and LOOP names the one bound.  It draws each
+point inline, holds no buffers and needs no numpy.  When it
 cannot be built or loaded, _count_blocks runs: numpy over
 rng.sample_blocks with a few BLOCK-sized buffers per thread, kept across
 calls, so the memory used is bounded by the block size, not by s.  Only
@@ -242,8 +240,7 @@ def _count(seed: int, s: int, a: tuple, parity_a: bool, b: tuple,
     check_range("seed", seed)
     if not a or not b:
         raise ParameterError("a side of the count needs at least one mask")
-    if not 0 <= s < 1 << 63:
-        raise ParameterError(f"sample count must be in 0..2^63-1, got {s}")
+    check_range("s", s)
     if min(*a, *b) < 0 or max(*a, *b) > MASK64:
         raise ParameterError("every mask must fit in 64 bits")
     kernel = _count_compiled if BACKEND == "c" else _count_blocks

@@ -181,20 +181,26 @@ class TestKernels:
         (WIDE[4], WIDE[1], 10),
         (dnf((1,), ()), dnf((1,)), 1),
         (dnf((1, 63), (2,), (32,)), dnf((63,), (1, 2), (3,), (4,), (5,)), 63),
-        # on each side of the hand loop's IFMA threshold, n <= 21, with a
-        # literal on the top variable, whose bit the 52-bit product lacks
-        # above it; and a pair of 3-clause DNFs at n = 20, as the oracle
-        # asks them
+        # on each side of the hand loop's IFMA threshold (every mask below
+        # 2^21): a literal on x21 (bit 20) or on x22 (bit 21, which the
+        # 52-bit product does not give), and masks below 2^21 at n = 63;
+        # and a pair of 3-clause DNFs at n = 20, as the oracle asks them
         (conj(1, 21), conj(2, 21), 21),
         (conj(1, 22), conj(2, 22), 22),
+        (conj(1, 21), conj(2, 21), 63),
         (dnf((1, 5, 9), (2, 14), (3, 17, 20)),
          dnf((4, 8), (6, 11, 19), (7, 12, 13, 16)), 20),
-        # on each side of its 16-bit lanes, n <= 16, likewise; and a pair
-        # of 3-clause DNFs in them
+        # on each side of its 16-bit lanes (every mask below 2^16),
+        # likewise, and in them at n = 40 and 63; and pairs of 3-clause
+        # DNFs in them, at n = 16 and 30
         (conj(1, 16), conj(2, 16), 16),
         (conj(1, 17), conj(2, 17), 17),
+        (conj(1, 16), conj(2, 16), 40),
+        (conj(1, 16), conj(2, 16), 63),
         (dnf((1, 5, 9), (2, 14), (3, 15, 16)),
          dnf((4, 8), (6, 11, 16), (7, 12, 13)), 16),
+        (dnf((1, 5, 9), (2, 14), (3, 15, 16)),
+         dnf((4, 8), (6, 11, 16), (7, 12, 13)), 30),
     ]
     PARITY_CASES = [
         (conj(1, 2), parity(2, 4), 8),
@@ -211,9 +217,22 @@ class TestKernels:
         (parity(1, 63), parity(2, 63), 63),
         (conj(3, 21), parity(1, 21), 21),
         (conj(3, 22), parity(1, 22), 22),
+        (conj(3, 21), parity(1, 21), 63),
         (conj(3, 16), parity(1, 16), 16),
         (conj(3, 17), parity(1, 17), 17),
+        (conj(3, 16), parity(1, 16), 40),
+        (conj(3, 16), parity(1, 16), 63),
     ]
+    # Sides with a mask bit at or above n, which only a direct call
+    # gives, at n = 10: on x17 (bit 16), which keeps each fixed pair off
+    # the hand loop's 16-bit lanes, and on x13 (bit 12), which keeps it in
+    # them.
+    RAW_CASES = [(*sides, 10)
+                 for high in (1 << 16, 1 << 12)
+                 for sides in (((high | 0b11,), False, (0b110,), False),
+                               ((0b11,), False, (high | 0b101,), True),
+                               ((0b11, high | 0b100), False, (0b110,),
+                                False))]
 
     @staticmethod
     def check_kernel(monkeypatch, a, b, n, seed):
@@ -249,24 +268,20 @@ class TestKernels:
             for seed in (0, 9, MASK64 - 5):
                 self.check_kernel(monkeypatch, a, b, n, seed)
 
-    def test_word_counters_flush(self):
-        # past the hand loop's first flush of its 16-bit counters, after
-        # 32,767 steps of 32 points, where a conjunction of all 16
-        # variables has failed in nearly every lane at every step
+    def test_word_lanes_long_stream(self):
+        # 32,767 steps of 32 points and one more in the hand loop's 16-bit
+        # lanes, where a conjunction of all 16 variables fails in nearly
+        # every lane at every step: more failures in a lane than a 16-bit
+        # counter holds
         a, b, n, s = conj(*range(1, 17)), conj(1), 16, 32 * 32767 + 33
         want = array_counts(5, s, a, b, n)
         for kernel in KERNELS.values():
             assert kernel(5, s, a.masks, False, b.masks, False, n) == want
 
-    def test_mask_above_the_word_lanes(self, monkeypatch):
-        # a mask bit above x16 at n = 10, which only a direct call gives,
-        # keeps each fixed pair off the hand loop's 16-bit lanes
-        high = 1 << 16
-        for sides in (((high | 0b11,), False, (0b110,), False),
-                      ((0b11,), False, (high | 0b101,), True),
-                      ((0b11, high | 0b100), False, (0b110,), False)):
+    def test_mask_bits_above_n(self, monkeypatch):
+        for case in self.RAW_CASES:
             for seed, s in ((0, 33), (9, 4097)):
-                args = (seed, s, *sides, 10)
+                args = (seed, s, *case)
                 for _ in each_backend(monkeypatch):
                     assert counts(*args) == _count_blocks(*args)
 
@@ -287,13 +302,14 @@ class TestKernels:
 
     @pytest.mark.parametrize("backend", list(KERNELS))
     @pytest.mark.parametrize("seed, s, a, b, match", [
-        (1, -1, (0b1,), (0b10,), "sample count"),
-        (1, 1 << 63, (0b1,), (0b10,), "sample count"),
+        (1, -1, (0b1,), (0b10,), "s must be"),
+        (1, 0, (0b1,), (0b10,), "s must be"),
+        (1, 1 << 63, (0b1,), (0b10,), "s must be"),
         (-1, 10, (0b1,), (0b10,), "seed"),
         (MASK64 + 1, 10, (0b1,), (0b10,), "seed"),
         (1, 10, (0b1, -1), (0b10,), "mask"),
         (1, 10, (0b1,), (MASK64 + 1,), "mask"),
-    ], ids=["s_negative", "s_2^63", "seed_negative", "seed_2^64",
+    ], ids=["s_negative", "s_zero", "s_2^63", "seed_negative", "seed_2^64",
             "mask_negative", "mask_2^64"])
     def test_arguments_out_of_range_refused(self, monkeypatch, backend,
                                             seed, s, a, b, match):
@@ -614,11 +630,14 @@ def test_build_without_the_hand_loop_binds_count(tmp_path):
 def test_every_isa_build_matches_the_blocks(tmp_path, isa):
     lib = build_isa(tmp_path, isa)
     name = ISAS[isa][1]
-    # every loop, with sizes that end in each remainder of the 32-, 8- and
-    # 4-lane loops and around a multiple of all three; MASK64 - 5 wraps the
-    # counter, in every lane of the hand loop, within the stream
-    cases = [(seed, s, a.masks, a.is_parity, b.masks, b.is_parity, n)
-             for a, b, n in TestKernels.CASES + TestKernels.PARITY_CASES
+    # every loop, and mask bits above n, with sizes that end in each
+    # remainder of the 32-, 8- and 4-lane loops and around a multiple of
+    # all three; MASK64 - 5 wraps the counter, in every lane of the hand
+    # loop, within the stream
+    sides = [(a.masks, a.is_parity, b.masks, b.is_parity, n)
+             for a, b, n in TestKernels.CASES + TestKernels.PARITY_CASES]
+    cases = [(seed, s, *case)
+             for case in sides + TestKernels.RAW_CASES
              for seed in (0, MASK64 - 5)
              for s in (*range(1, 34), 4095, 4096, 4097)]
     # CC=/bin/false: the import builds and loads no library of its own
