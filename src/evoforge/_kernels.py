@@ -155,8 +155,9 @@ HAVE_NUMBA = BACKEND == "c"
 
 
 class _PredicateBuffers(threading.local):
-    """One thread's _count_blocks buffers; see rng._BlockBuffers for why,
-    and for why the thread's first count allocates them."""
+    """One thread's _count_blocks buffers; see rng._BlockBuffers for why.
+    The thread's first count allocates them: the module-level instance
+    runs __init__ at import."""
 
     def __init__(self):
         self.tmp = self.a = self.b = self.hit = None
@@ -173,7 +174,7 @@ def _holds(xs, masks, parity, tm, hit, out) -> None:
     np.bitwise_and(xs, masks[0], out=tm)
     if parity:
         np.bitwise_count(tm, out=tm)
-        np.bitwise_and(tm, np.uint64(1), out=tm)
+        np.bitwise_and(tm, 1, out=tm)
         np.logical_not(tm, out=out)
         return
     np.equal(tm, masks[0], out=out)
@@ -188,8 +189,6 @@ def _count_blocks(seed: int, s: int, a: tuple, parity_a: bool, b: tuple,
     """(both true, a true, b true) over s points, one block at a time."""
     import numpy as np
 
-    ma = [np.uint64(m) for m in a]
-    mb = [np.uint64(m) for m in b]
     buf = _BUFFERS
     if buf.tmp is None:
         buf.tmp = np.empty(BLOCK, dtype=np.uint64)
@@ -200,8 +199,8 @@ def _count_blocks(seed: int, s: int, a: tuple, parity_a: bool, b: tuple,
     for xs in sample_blocks(seed, s, n):
         m = len(xs)
         tm, hit, am, bm = buf.tmp[:m], buf.hit[:m], buf.a[:m], buf.b[:m]
-        _holds(xs, ma, parity_a, tm, hit, am)
-        _holds(xs, mb, parity_b, tm, hit, bm)
+        _holds(xs, a, parity_a, tm, hit, am)
+        _holds(xs, b, parity_b, tm, hit, bm)
         c_a += int(np.count_nonzero(am))
         c_b += int(np.count_nonzero(bm))
         np.logical_and(am, bm, out=am)

@@ -180,18 +180,21 @@ def cmd_list(_args) -> int:
 
 
 def cmd_info(_args) -> int:
-    import platform
+    # numpy's version from its installed metadata: info imports no numpy
+    from importlib.metadata import PackageNotFoundError, version
 
-    import numpy as np  # the one command that loads it on the c backend
-
+    try:
+        numpy_version = version("numpy")
+    except PackageNotFoundError:
+        numpy_version = "none"
     rows = [("evoforge", __version__),
             ("backend", _kernels.BACKEND),
             ("loop", _kernels.LOOP),
             ("compiler", _kernels._compiler() or "none"),
             ("library", _kernels.LIBRARY or "none"),
             ("fallback", _kernels.FALLBACK or "none"),
-            ("python", platform.python_version()),
-            ("numpy", np.__version__),
+            ("python", "%d.%d.%d" % sys.version_info[:3]),
+            ("numpy", numpy_version),
             ("cpus", os.cpu_count()),
             ("EVOFORGE_THREADS", os.environ.get("EVOFORGE_THREADS", "unset"))]
     for key, val in rows:

@@ -73,30 +73,31 @@ def sample_assignments(seed: int, count: int, n: int) -> np.ndarray:
 
 
 @cache
-def _stream_constants() -> tuple:
-    """(the read-only table of (j+1)*GAMMA for j < BLOCK, and the mixer's
-    multipliers and shifts as uint64), built by the first stream."""
+def _steps() -> np.ndarray:
+    """The read-only table of (j+1)*GAMMA for j < BLOCK, built by the first
+    stream."""
     import numpy as np
 
     steps = np.arange(1, BLOCK + 1, dtype=np.uint64) * np.uint64(GAMMA)
     steps.flags.writeable = False
-    return (steps, np.uint64(MIX_C1), np.uint64(MIX_C2), np.uint64(30),
-            np.uint64(27), np.uint64(31))
+    return steps
 
 
 class _BlockBuffers(threading.local):
-    """One thread's sample_blocks buffers, kept for the thread's lifetime.
+    """One thread's free list of sample_blocks buffer pairs, kept for the
+    thread's lifetime.
 
     An estimate at the stock sample sizes is one to a few dozen blocks.
     Buffers allocated per call are handed back to the OS and faulted in
     again on every estimate, which costs about a third of the run time as
-    system time.  They are allocated by the thread's first stream, not
-    here: the module-level instance runs __init__ at import.
+    system time.  Each open stream holds a pair of its own, so the list
+    grows to the most streams the thread has held open at once: one, for
+    the estimators.  A stream left open, held by a kept traceback, keeps
+    its pair, and the next stream allocates one replacement, once.
     """
 
     def __init__(self):
-        self.z = self.tmp = None
-        self.busy = False
+        self.free = []
 
 
 _BUFFERS = _BlockBuffers()
@@ -108,44 +109,35 @@ def sample_blocks(seed: int, count: int, n: int) -> Iterator[np.ndarray]:
     Yields consecutive slices of that array, bit for bit, but holds only
     two BLOCK-sized buffers however large `count` is.  Each yielded array
     is a view of a reused buffer that the next block overwrites, so
-    consume it before advancing.  A stream opened while another one of
-    the same thread is still open gets buffers of its own.
+    consume it before advancing.  Streams open at once on one thread hold
+    distinct buffers.
     """
     import numpy as np
 
     check_range("n", n)
-    steps, c1, c2, s30, s27, s31 = _stream_constants()
-    nested = _BUFFERS.busy
-    if nested:
-        z = np.empty(min(count, BLOCK), dtype=np.uint64)
-        tmp = np.empty_like(z)
-    else:
-        if _BUFFERS.z is None:
-            _BUFFERS.z = np.empty(BLOCK, dtype=np.uint64)
-            _BUFFERS.tmp = np.empty(BLOCK, dtype=np.uint64)
-        z, tmp = _BUFFERS.z, _BUFFERS.tmp
-        _BUFFERS.busy = True
-    dim_mask = np.uint64((1 << n) - 1)
+    steps = _steps()
+    free = _BUFFERS.free
+    z, tmp = free.pop() if free else (np.empty(BLOCK, dtype=np.uint64),
+                                      np.empty(BLOCK, dtype=np.uint64))
+    dim_mask = (1 << n) - 1
     try:
         for off in range(0, count, BLOCK):
             m = min(BLOCK, count - off)
             zb, tb = z[:m], tmp[:m]
             # sample off+j is mix64(seed + (off+j+1)*GAMMA)
-            np.add(steps[:m], np.uint64((seed + off * GAMMA) & MASK64),
-                   out=zb)
-            np.right_shift(zb, s30, out=tb)
+            np.add(steps[:m], (seed + off * GAMMA) & MASK64, out=zb)
+            np.right_shift(zb, 30, out=tb)
             np.bitwise_xor(zb, tb, out=zb)
-            np.multiply(zb, c1, out=zb)
-            np.right_shift(zb, s27, out=tb)
+            np.multiply(zb, MIX_C1, out=zb)
+            np.right_shift(zb, 27, out=tb)
             np.bitwise_xor(zb, tb, out=zb)
-            np.multiply(zb, c2, out=zb)
-            np.right_shift(zb, s31, out=tb)
+            np.multiply(zb, MIX_C2, out=zb)
+            np.right_shift(zb, 31, out=tb)
             np.bitwise_xor(zb, tb, out=zb)
             np.bitwise_and(zb, dim_mask, out=zb)
             yield zb
     finally:
-        if not nested:
-            _BUFFERS.busy = False
+        free.append((z, tmp))
 
 
 def weighted_choice(indices: list[int], weights: list[float], seed: int) -> int:

@@ -2,22 +2,32 @@
 
 Each test covers one numbered criterion, prints a single PASS/FAIL line
 with the measured values, and enforces a wall-clock budget.  Everything
-is seeded, so these are deterministic on a given platform.
+is seeded, so these are deterministic on a given platform.  Criteria 4, 6
+and 7 run three stock configs at their own trial counts; those reports,
+and the stock redundancy_bias and counterexample runs, must match the
+digests of results.sha256 byte for byte (scripts/run_all.py prints them).
 """
+import hashlib
 import json
 import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from brute import brute_perf
+from evoforge import _kernels
 from evoforge.boolfn import (MonotoneConjunction, MonotoneDnf,
                              OutputConvention, exact_perf)
-from evoforge.cli import main
+from evoforge.cli import (experiment_kwargs, main, report_json_text,
+                          trace_csv_text)
+from evoforge.config import parse_config
 from evoforge.engine import default_params
 from evoforge.experiments import (COUNTEREXAMPLE_HYPOTHESIS,
                                   COUNTEREXAMPLE_N, COUNTEREXAMPLE_TARGET,
-                                  run_conjunction_evolvability,
+                                  REGISTRY, run_conjunction_evolvability,
                                   run_counterexample, run_parity,
                                   run_structural_vs_functional)
 from evoforge.perf import Aggregator, SampleSpec, empirical_perf
@@ -25,6 +35,11 @@ from evoforge.representations import default_neigh_cap, evolve_kdnf
 from evoforge.rng import derive_seed
 
 SIGNED = OutputConvention.SIGNED
+ROOT = Path(__file__).resolve().parent.parent
+# "<name>/<file>": sha256, of each stock config's full run
+DIGESTS = {name: digest for digest, name in
+           (line.split("  ") for line in
+            (ROOT / "results.sha256").read_text().splitlines())}
 
 
 def conj(*vars_):
@@ -33,6 +48,15 @@ def conj(*vars_):
 
 def report_line(num, ok, detail):
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'}: {detail}")
+
+
+def check_digests(name, report):
+    """report.json and trace.csv of the stock `name` run, as the CLI writes
+    them, against results.sha256."""
+    for fname, render in (("report.json", report_json_text),
+                          ("trace.csv", trace_csv_text)):
+        digest = hashlib.sha256(render(report).encode()).hexdigest()
+        assert digest == DIGESTS[f"{name}/{fname}"], fname
 
 
 def test_criterion_1_counterexample_identities():
@@ -110,6 +134,7 @@ def test_criterion_4_conjunctions_evolve():
                        f"budget_ok={budget_ok} ({elapsed:.1f}s)")
     assert rate >= 0.90
     assert budget_ok
+    check_digests("conjunction_evolvability", report)
     assert elapsed < 120.0
 
 
@@ -147,6 +172,7 @@ def test_criterion_6_functional_without_structural():
                        f"over 50 trials ({elapsed:.1f}s)")
     assert report.all_golden_pass
     assert strict
+    check_digests("structural_vs_functional", report)
     assert elapsed < 240.0
 
 
@@ -164,6 +190,7 @@ def test_criterion_7_parity_stays_flat():
     assert over == 0
     assert max_abs <= 0.25
     assert report.all_golden_pass
+    check_digests("parity", report)
     assert elapsed < 120.0
 
 
@@ -194,3 +221,15 @@ def test_criterion_8_reruns_are_byte_identical(tmp_path, capsys):
                        f"({elapsed:.1f}s)")
     assert identical
     assert elapsed < 60.0
+
+
+@pytest.mark.parametrize("name", ["redundancy_bias", "counterexample"])
+def test_stock_runs_match_their_digests(name):
+    # the two stock configs that no criterion runs, as `evoforge run` runs
+    # them; redundancy_bias on the compiled backend alone, where it takes
+    # seconds against half a minute on numpy, whose counts the kernel
+    # tests and tests/test_results.py hold equal to the compiled ones
+    if name == "redundancy_bias" and _kernels.BACKEND != "c":
+        pytest.skip("the compiled backend did not load here")
+    cfg = parse_config((ROOT / "configs" / f"{name}.cfg").read_text())
+    check_digests(name, REGISTRY[cfg.experiment](**experiment_kwargs(cfg)))

@@ -2,6 +2,7 @@ import ctypes
 import json
 import math
 import os
+import random
 import shutil
 import signal
 import subprocess
@@ -10,7 +11,7 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from importlib import resources
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -374,6 +375,55 @@ class TestKernels:
         assert 0 <= both <= min(cr, cf) <= max(cr, cf) <= 1000
 
 
+def routing_sweep():
+    """(seed, s, a, b, n) over the count loops' routing, drawn from a fixed
+    seed: for every pair of sides, each a list of 1 to 5 clauses or a
+    parity, with the highest mask bit on each side of the hand loop's
+    16-bit and IFMA thresholds (bits 15/16 and 20/21) and at bit 62, one
+    frame with n above that bit and one direct call with n at or below
+    it, each at two s in 1..70; and a few pairs at s of several blocks."""
+    gen = random.Random(31)
+    kinds = ("parity", 1, 2, 3, 4, 5)
+    cases = []
+    for top in (15, 16, 20, 21, 62):
+        for ka, kb in product(kinds, kinds):
+            lits = [[set(gen.sample(range(1, top + 1), gen.randint(1, 4)))]
+                    if kind == "parity" else
+                    [set(gen.sample(range(1, top + 1), gen.randint(1, 3)))
+                     for _ in range(kind)] for kind in (ka, kb)]
+            gen.choice(lits[0] + lits[1]).add(top + 1)  # bit top
+            a, b = (parity(*ls[0]) if kind == "parity" else dnf(*ls)
+                    for kind, ls in zip((ka, kb), lits))
+            for n in (gen.randint(top + 1, 63), gen.randint(1, top)):
+                sizes = [gen.randint(1, 70), gen.randint(1, 70)]
+                if n > top and (ka, kb) in ((1, 1), (1, "parity"), (4, 4)):
+                    sizes.append(3 * BLOCK + gen.randint(1, 63))
+                for s in sizes:
+                    seed = gen.choice((gen.getrandbits(64),
+                                       MASK64 - gen.randint(0, 70)))
+                    cases.append((seed, s, a, b, n))
+    return cases
+
+
+SWEEP = [(seed, s, a.masks, a.is_parity, b.masks, b.is_parity, n)
+         for seed, s, a, b, n in routing_sweep()]
+
+
+def test_routing_sweep_matches_the_blocks(monkeypatch):
+    want = [_count_blocks(*case) for case in SWEEP]
+    # the stream of one or two blocks, by definition, one point at a time
+    for (seed, s, a, b, n), got in zip(routing_sweep(), want):
+        if s <= 70:
+            assert reference_counts(seed, s, a, b, n) == got
+    if _kernels.BACKEND != "c":
+        pytest.skip("the compiled backend did not load here")
+    loops = ["count"] + ["count_avx512"] * (_kernels.LOOP == "avx512")
+    for name in loops:
+        monkeypatch.setattr(_kernels, "_count_c",
+                            _kernels._bind(_kernels.LIBRARY, name))
+        assert [_kernels._count_compiled(*case) for case in SWEEP] == want
+
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROBE_CASES = [(0, 5000, (0b11,), False, (0b110,), False, 8),
                (MASK64 - 5, 5000, (0b1,), False, (0b101,), True, 8),
@@ -639,7 +689,7 @@ def test_every_isa_build_matches_the_blocks(tmp_path, isa):
     cases = [(seed, s, *case)
              for case in sides + TestKernels.RAW_CASES
              for seed in (0, MASK64 - 5)
-             for s in (*range(1, 34), 4095, 4096, 4097)]
+             for s in (*range(1, 34), 4095, 4096, 4097)] + SWEEP
     # CC=/bin/false: the import builds and loads no library of its own
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src"),
            "CC": "/bin/false", "XDG_CACHE_HOME": str(tmp_path / "cache")}
@@ -656,8 +706,8 @@ def test_every_isa_build_matches_the_blocks(tmp_path, isa):
 
 
 # Modules that a run on the compiled backend never calls: numpy serves
-# only the fallback and the truth-table enumeration, platform only
-# `evoforge info`, concurrent.futures only a pool of trials.
+# only the fallback and the truth-table enumeration, concurrent.futures
+# only a pool of trials; and platform, which nothing in the package reads.
 UNCALLED = ("numpy", "platform", "concurrent.futures")
 # `evoforge` commands run in one interpreter: which of UNCALLED they load.
 COMMANDS = """
@@ -701,12 +751,13 @@ class TestImports:
         for mode in (["--exact"], ["--samples", "5000", "--seed", "3"]):
             argvs.append(["perf", "--r", "x1&x2 | x3", "--f",
                           "parity(x1,x2)", "--n", "8", *mode])
+        argvs.append(["info"])
         code = COMMANDS.format(argvs=argvs, uncalled=UNCALLED)
         backend, rcs, loaded = run_python(code, {})
         assert backend == "c"
         # runs this short may fail a golden check (exit 1), not their config
         assert all(rc in (0, 1) for rc in rcs[:3])
-        assert rcs[3:] == [0, 0]
+        assert rcs[3:] == [0, 0, 0]
         assert loaded == []
 
     def test_fallback_imports_numpy_on_first_estimate(self, tmp_path):

@@ -73,12 +73,30 @@ class TestSampleAssignments:
 
     def test_open_streams_do_not_share_buffers(self):
         count = 2 * BLOCK + 3
+        before = len(rng._BUFFERS.free)
         blocks = [(a.copy(), b.copy()) for a, b in
                   zip(sample_blocks(1, count, 10), sample_blocks(2, count, 10))]
         for i, seed in enumerate((1, 2)):
             assert np.array_equal(np.concatenate([p[i] for p in blocks]),
                                   sample_assignments(seed, count, 10))
-        assert not rng._BUFFERS.busy  # closed streams free the shared pair
+        # closed streams return their pairs to the thread's free list
+        assert len(rng._BUFFERS.free) == max(before, 2)
+
+    def test_a_stream_left_open_costs_one_pair(self):
+        def advance_and_fail():
+            stream = sample_blocks(3, 2 * BLOCK, 10)  # noqa: F841
+            next(stream)
+            raise RuntimeError("left open")
+
+        try:
+            advance_and_fail()
+        except RuntimeError as exc:
+            kept = exc  # its traceback holds the frame, which holds the stream
+        # the next full streams on this thread reuse one pair between them
+        firsts = [list(sample_blocks(seed, 2 * BLOCK, 10))[0]
+                  for seed in (4, 5)]
+        assert np.shares_memory(*firsts)
+        assert kept.__traceback__ is not None
 
     def test_dimension_limits(self):
         with pytest.raises(ParameterError):
